@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -15,6 +16,11 @@ int ClusterClientResult::CountStatus(RequestStatus s) const {
 }
 
 namespace {
+
+// Served, possibly after retries: the outcomes that count as completed.
+bool Succeeded(RequestStatus s) {
+  return s == RequestStatus::kOk || s == RequestStatus::kFailedRetried;
+}
 
 // Validates a sharded configuration and returns the effective shard count
 // (clamped to the server count; 0 means 1). Throws std::invalid_argument
@@ -174,7 +180,7 @@ sim::Task Cluster::Probe(std::size_t server, bool& ok) {
       // Jitter stretches the round trip (factor 1.0 outside any window —
       // an exact multiply, so jitter-free plans are bit-identical).
       co_await env_.Delay(options_.router.net_delay * 2.0 *
-                          JitterFactor(server));
+                          JitterFactor(server, sent));
     }
     if (options_.router.score.enabled) {
       // The probe exercises the serving path, so its service time runs at
@@ -299,10 +305,9 @@ void Cluster::StopAll() {
 sim::Task Cluster::EnsureTenant(std::size_t server, std::size_t client,
                                 const ClientSpec& spec, std::size_t& tenant,
                                 bool& ok) {
-  // Runs on the server's environment — in sharded mode that is the server's
-  // shard (only its worker thread touches this server's tenant map during
-  // windows); unsharded it is the hub itself, so timing and behaviour are
-  // byte-identical to the pre-sharding implementation.
+  // Runs on the server's environment — the server's shard, whose worker
+  // thread is the only one touching this server's tenant map during
+  // windows; at shards=1 that is the hub itself.
   sim::Environment& senv = servers_[server]->env();
   std::map<std::size_t, std::size_t>& tenants = tenant_of_[server];
   ok = true;
@@ -340,395 +345,183 @@ sim::Task Cluster::EnsureTenant(std::size_t server, std::size_t client,
 sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
                                    std::size_t home, sim::Rng& rng,
                                    sim::TimePoint arrival,
-                                   RequestStatus& status,
-                                   metrics::PhaseAccount* pa,
-                                   std::size_t* served) {
+                                   RequestStatus& status) {
+  // Route, counters and router state are only ever touched hub-side. The
+  // forward and response network legs are engine hops: the serve section
+  // runs on the server's shard inside parallel windows, and with one shard
+  // (where the server's environment IS the hub) each hop is a plain delay
+  // on the one queue. Server-side reads — phase charges, the lost-response
+  // check, the response leg's jitter — use the server's clock, so they land
+  // at the same virtual instants at every shard count. (The phase account
+  // is frame-local, so charging it from the server's shard is race-free.)
   const RouterOptions& ro = options_.router;
+  // A zero network delay schedules no hop at all. Sharding requires
+  // net_delay > 0, so this only ever skips at shards=1, where the hop would
+  // be a bare yield through the queue.
+  const bool hops = ro.net_delay > sim::Duration::Zero();
   metrics::IncidentLog* const ilog = options_.incidents;
-  // Brownout admission control: a shed class is rejected at the front door
-  // before any routing or network cost (load it cannot carry is exactly
-  // what the cluster is shedding).
-  if (router_->BrownoutSheds(spec.priority)) {
-    ++counters_.requests_shed_brownout;
-    status = RequestStatus::kRejected;
-    if (pa != nullptr) pa->Charge(metrics::Phase::kAdmission, env_.Now());
-    co_await env_.Delay(ro.retry_backoff);
-    if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-    co_return;
+  metrics::PhaseAccount account;
+  metrics::PhaseAccount* const pa =
+      options_.phases != nullptr ? &account : nullptr;
+  if (pa != nullptr) {
+    pa->Start(arrival);
+    // An arrival that found its predecessor still in flight queued at the
+    // front end; that wait is pre-routing time.
+    pa->Charge(metrics::Phase::kRouterQueue, env_.Now());
   }
+  std::size_t served = home;  // the last server routed to
+  // Brownout admission control sheds a class at the front door, before any
+  // routing or network cost (load it cannot carry is exactly what the
+  // cluster is shedding).
+  const bool shed = router_->BrownoutSheds(spec.priority);
   // Tracks whether the leg about to start is a free failover re-admission;
   // its forward hop is then blamed on the failover, not on routine routing.
   bool failing_over = false;
   for (int attempt = 1;;) {
-    const std::size_t s = router_->Route(home);
+    const std::size_t s = shed ? Router::kNoServer : router_->Route(home);
     if (s == Router::kNoServer) {
-      // Nothing routable anywhere: terminate promptly as a rejection
-      // instead of spinning (mirrors requests_rejected_no_device).
-      ++counters_.requests_rejected_no_server;
+      // Shed, or nothing routable anywhere: terminate promptly as a
+      // rejection instead of spinning (mirrors requests_rejected_no_device).
+      ++(shed ? counters_.requests_shed_brownout
+              : counters_.requests_rejected_no_server);
       status = RequestStatus::kRejected;
       if (pa != nullptr) pa->Charge(metrics::Phase::kAdmission, env_.Now());
       co_await env_.Delay(ro.retry_backoff);
       if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-      co_return;
+      break;
     }
-    if (served != nullptr) *served = s;
+    served = s;
     router_->OnRequestStart(s);
+    sim::Environment& senv = servers_[s]->env();
 
-    // Forward leg. A partition active at send time drops the request; the
-    // router only learns from the missing ack after the probe timeout.
-    // Jitter stretches the hop (factor 1.0 outside any window — an exact
-    // multiply, so jitter-free plans are bit-identical).
+    // Forward leg. A partition active at send time drops the request on the
+    // wire: it never reaches the server, so the whole round — forward leg,
+    // probe timeout, error bookkeeping — stays on the hub. Jitter stretches
+    // the hop (factor 1.0 outside any window — an exact multiply, so
+    // jitter-free plans are bit-identical); it is >= 1, so a jittered hop
+    // never undercuts the engine lookahead.
     const bool lost_to = env_.Now() < part_to_until_[s];
-    if (ro.net_delay > sim::Duration::Zero()) {
-      co_await env_.Delay(ro.net_delay * JitterFactor(s));
-    }
+    const sim::Duration forward = ro.net_delay * JitterFactor(s, env_.Now());
+    if (hops && lost_to) co_await env_.Delay(forward);
+    // Lane s is server s, wherever the shard assignment packed it.
+    if (hops && !lost_to) co_await engine_.HopToShard(s, forward);
     if (pa != nullptr) {
       pa->Charge(failing_over ? metrics::Phase::kFailoverReadmit
                               : metrics::Phase::kRouterHop,
-                 env_.Now());
+                 lost_to ? env_.Now() : senv.Now());
     }
     failing_over = false;
+
+    // The leg's outcome; a lost message or a failed tenant instantiation
+    // reads as kFailed. `server_fault` marks failures that are the server's
+    // or the network's rather than the request's: those are re-admitted
+    // without spending the retry budget (the cross-server failover
+    // contract).
+    RequestStatus leg = RequestStatus::kFailed;
+    bool server_fault = false;
     if (lost_to) {
+      // The router only learns from the missing ack after the probe timeout.
       ++counters_.requests_lost_to_server;
       co_await env_.Delay(ro.probe_timeout);
       // Waiting out the missing ack is network blame, like the hop itself.
       if (pa != nullptr) pa->Charge(metrics::Phase::kRouterHop, env_.Now());
       router_->OnRequestEnd(s);
       router_->OnRequestError(s);
-      if (ro.failover) {
-        // Loss is the network's fault, not the request's: re-admit without
-        // spending the retry budget (the cross-server failover contract).
-        ++counters_.requests_failed_over;
-        failing_over = true;
-        if (ilog != nullptr) {
-          ilog->Mitigation(static_cast<int>(s), "failover", env_.Now());
+      server_fault = true;
+    } else {
+      std::size_t tenant = 0;
+      bool tenant_ok = true;
+      bool lost_from = false;
+      std::exception_ptr err;
+      try {
+        // Admission: make sure this client has a tenant slot on the server.
+        // First arrival on a non-home server streams parameters and warms
+        // up.
+        co_await EnsureTenant(s, client, spec, tenant, tenant_ok);
+        if (pa != nullptr) pa->Charge(metrics::Phase::kReload, senv.Now());
+        if (tenant_ok) {
+          // Serve through the full in-server pipeline (admission control,
+          // breaker, device placement, retries, device failover). The
+          // original arrival anchors the deadline end-to-end across hops.
+          leg = RequestStatus::kOk;
+          co_await servers_[s]->ServeTenantRequest(tenant, rng, arrival, leg,
+                                                   pa);
+          // The window arrays are written only during hub instants, so
+          // this read at the serve-completion instant is race-free and
+          // exact.
+          lost_from = senv.Now() < part_from_until_[s];
         }
-        continue;
+      } catch (...) {
+        // Carry server-side errors across the return hop: rethrowing on the
+        // worker would resume the client's continuation on the wrong
+        // thread.
+        err = std::current_exception();
       }
-      if (attempt > ro.max_retries) {
-        status = RequestStatus::kFailed;
-        ++counters_.requests_failed;
-        co_return;
-      }
-      ++counters_.retries;
-      ++attempt;
-      co_await env_.Delay(ro.retry_backoff);
-      if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-      continue;
-    }
 
-    // Admission: make sure this client has a tenant slot on the server.
-    std::size_t tenant = 0;
-    bool tenant_ok = true;
-    co_await EnsureTenant(s, client, spec, tenant, tenant_ok);
-    // First arrival on a non-home server streams parameters and warms up.
-    if (pa != nullptr) pa->Charge(metrics::Phase::kReload, env_.Now());
-    if (!tenant_ok) {
-      // The failure reply still crosses the network back to the router —
-      // the same response leg a served request pays. (Also what makes the
-      // sharded path's return hop cost-symmetric: there the coroutine is
-      // physically on the server's shard and must hop home regardless.)
-      if (ro.net_delay > sim::Duration::Zero()) {
-        co_await env_.Delay(ro.net_delay * JitterFactor(s));
+      // Response leg, back onto the hub. A failed tenant instantiation pays
+      // it too: the failure reply crosses the network like a served answer.
+      // Its jitter is evaluated at the send instant, like lost_from.
+      if (hops) {
+        co_await engine_.HopToHub(s,
+                                  ro.net_delay * JitterFactor(s, senv.Now()));
       }
+      if (err != nullptr) std::rethrow_exception(err);
       if (pa != nullptr) pa->Charge(metrics::Phase::kResponseHop, env_.Now());
       router_->OnRequestEnd(s);
-      router_->OnRequestError(s);
-      if (attempt > ro.max_retries) {
-        status = RequestStatus::kFailed;
-        ++counters_.requests_failed;
-        co_return;
+      if (lost_from) {
+        // At-least-once: the work happened but the answer is gone.
+        ++counters_.responses_lost_from_server;
+        router_->OnRequestError(s);
+        leg = RequestStatus::kFailed;
+        server_fault = true;
+      } else if (Succeeded(leg)) {
+        router_->OnRequestSuccess(s);
+        ++counters_.requests_ok;
+        status = (attempt == 1 && leg == RequestStatus::kOk)
+                     ? RequestStatus::kOk
+                     : RequestStatus::kFailedRetried;
+        break;
+      } else if (leg == RequestStatus::kTimedOut) {
+        status = RequestStatus::kTimedOut;
+        ++counters_.requests_timed_out;
+        break;
+      } else if (leg == RequestStatus::kRejected && !HasUsableDevice(s)) {
+        // The server lost every device (crash): that is a server failure,
+        // not a request failure.
+        router_->OnRequestError(s);
+        server_fault = true;
+      } else if (leg == RequestStatus::kFailed) {
+        // Includes a failed tenant instantiation.
+        router_->OnRequestError(s);
       }
-      ++counters_.retries;
-      ++attempt;
-      co_await env_.Delay(ro.retry_backoff);
-      if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
+    }
+
+    if (server_fault && ro.failover) {
+      ++counters_.requests_failed_over;
+      failing_over = true;
+      if (ilog != nullptr) {
+        ilog->Mitigation(static_cast<int>(s), "failover", env_.Now());
+      }
       continue;
-    }
-
-    // Serve through the full in-server pipeline (admission control, breaker,
-    // device placement, retries, device failover). The original arrival
-    // anchors the deadline end-to-end across server hops.
-    RequestStatus leg = RequestStatus::kOk;
-    co_await servers_[s]->ServeTenantRequest(tenant, rng, arrival, leg, pa);
-
-    // Response leg (jitter evaluated at the send instant, like lost_from).
-    const bool lost_from = env_.Now() < part_from_until_[s];
-    if (ro.net_delay > sim::Duration::Zero()) {
-      co_await env_.Delay(ro.net_delay * JitterFactor(s));
-    }
-    if (pa != nullptr) pa->Charge(metrics::Phase::kResponseHop, env_.Now());
-    router_->OnRequestEnd(s);
-    if (lost_from) {
-      ++counters_.responses_lost_from_server;
-      router_->OnRequestError(s);
-      if (ro.failover) {
-        // At-least-once: the work happened but the answer is gone, so the
-        // request re-executes on a routable server, budget untouched.
-        ++counters_.requests_failed_over;
-        failing_over = true;
-        if (ilog != nullptr) {
-          ilog->Mitigation(static_cast<int>(s), "failover", env_.Now());
-        }
-        continue;
-      }
-      if (attempt > ro.max_retries) {
-        status = RequestStatus::kFailed;
-        ++counters_.requests_failed;
-        co_return;
-      }
-      ++counters_.retries;
-      ++attempt;
-      co_await env_.Delay(ro.retry_backoff);
-      if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-      continue;
-    }
-
-    if (leg == RequestStatus::kOk || leg == RequestStatus::kFailedRetried) {
-      router_->OnRequestSuccess(s);
-      ++counters_.requests_ok;
-      status = (attempt == 1 && leg == RequestStatus::kOk)
-                   ? RequestStatus::kOk
-                   : RequestStatus::kFailedRetried;
-      co_return;
-    }
-    if (leg == RequestStatus::kTimedOut) {
-      status = RequestStatus::kTimedOut;
-      ++counters_.requests_timed_out;
-      co_return;
-    }
-    // leg is kRejected or kFailed.
-    if (leg == RequestStatus::kRejected && !HasUsableDevice(s)) {
-      // The server lost every device (crash): that is a server failure,
-      // not a request failure — fail over for free.
-      router_->OnRequestError(s);
-      if (ro.failover) {
-        ++counters_.requests_failed_over;
-        failing_over = true;
-        if (ilog != nullptr) {
-          ilog->Mitigation(static_cast<int>(s), "failover", env_.Now());
-        }
-        continue;
-      }
-    } else if (leg == RequestStatus::kFailed) {
-      router_->OnRequestError(s);
     }
     if (attempt > ro.max_retries) {
       status = leg;
       ++counters_.requests_failed;
-      co_return;
+      break;
     }
     ++counters_.retries;
     ++attempt;
     co_await env_.Delay(ro.retry_backoff);
     if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
   }
-}
-
-sim::Task Cluster::ShardedDispatch(std::size_t client, const ClientSpec& spec,
-                                   std::size_t home, sim::Rng& rng,
-                                   sim::TimePoint arrival,
-                                   RequestStatus& status,
-                                   metrics::PhaseAccount* pa,
-                                   std::size_t* served) {
-  // Mirrors DispatchRequest decision-for-decision and delay-for-delay; the
-  // only difference is WHERE the serve section executes: the forward and
-  // response network legs become cross-shard hops, so the in-server
-  // pipeline runs on the server's shard inside parallel windows while the
-  // hub bookkeeping stays on the hub. Route, counters, and router state are
-  // only ever touched hub-side. Phase charges land at the same virtual
-  // instants as the unsharded path's (the account itself is frame-local, so
-  // charging from the server's shard is race-free), keeping the blame table
-  // byte-identical across shard counts.
-  const RouterOptions& ro = options_.router;
-  metrics::IncidentLog* const ilog = options_.incidents;
-  if (router_->BrownoutSheds(spec.priority)) {
-    ++counters_.requests_shed_brownout;
-    status = RequestStatus::kRejected;
-    if (pa != nullptr) pa->Charge(metrics::Phase::kAdmission, env_.Now());
-    co_await env_.Delay(ro.retry_backoff);
-    if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-    co_return;
+  // Every exit from the loop lands here, on the hub, with `status` final.
+  const bool ok = Succeeded(status);
+  if (pa != nullptr) {
+    options_.phases->Record(static_cast<int>(served), spec.model, account, ok,
+                            env_.Now() - arrival);
   }
-  bool failing_over = false;
-  for (int attempt = 1;;) {
-    const std::size_t s = router_->Route(home);
-    if (s == Router::kNoServer) {
-      ++counters_.requests_rejected_no_server;
-      status = RequestStatus::kRejected;
-      if (pa != nullptr) pa->Charge(metrics::Phase::kAdmission, env_.Now());
-      co_await env_.Delay(ro.retry_backoff);
-      if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-      co_return;
-    }
-    if (served != nullptr) *served = s;
-    router_->OnRequestStart(s);
-
-    // A partition active at send time drops the request on the wire: it
-    // never reaches the server's shard, so the whole round — forward leg,
-    // probe timeout, error bookkeeping — stays on the hub, with the same
-    // virtual-time cost as the unsharded path. The jitter factor is
-    // evaluated at the same send instant as the unsharded path; it is
-    // >= 1, so a jittered hop never undercuts the engine lookahead.
-    const bool lost_to = env_.Now() < part_to_until_[s];
-    const double jitter_fwd = JitterFactor(s);
-    if (lost_to) {
-      co_await env_.Delay(ro.net_delay * jitter_fwd);
-      if (pa != nullptr) {
-        pa->Charge(failing_over ? metrics::Phase::kFailoverReadmit
-                                : metrics::Phase::kRouterHop,
-                   env_.Now());
-      }
-      failing_over = false;
-      ++counters_.requests_lost_to_server;
-      co_await env_.Delay(ro.probe_timeout);
-      if (pa != nullptr) pa->Charge(metrics::Phase::kRouterHop, env_.Now());
-      router_->OnRequestEnd(s);
-      router_->OnRequestError(s);
-      if (ro.failover) {
-        ++counters_.requests_failed_over;
-        failing_over = true;
-        if (ilog != nullptr) {
-          ilog->Mitigation(static_cast<int>(s), "failover", env_.Now());
-        }
-        continue;
-      }
-      if (attempt > ro.max_retries) {
-        status = RequestStatus::kFailed;
-        ++counters_.requests_failed;
-        co_return;
-      }
-      ++counters_.retries;
-      ++attempt;
-      co_await env_.Delay(ro.retry_backoff);
-      if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-      continue;
-    }
-
-    // Forward leg: the request physically moves onto the server's shard
-    // (lane s is server s, wherever the assignment packed it).
-    co_await engine_.HopToShard(s, ro.net_delay * jitter_fwd);
-    if (pa != nullptr) {
-      pa->Charge(failing_over ? metrics::Phase::kFailoverReadmit
-                              : metrics::Phase::kRouterHop,
-                 servers_[s]->env().Now());
-    }
-    failing_over = false;
-
-    std::size_t tenant = 0;
-    bool tenant_ok = true;
-    RequestStatus leg = RequestStatus::kOk;
-    bool lost_from = false;
-    double jitter_back = 1.0;
-    std::exception_ptr err;
-    try {
-      co_await EnsureTenant(s, client, spec, tenant, tenant_ok);
-      if (pa != nullptr) {
-        pa->Charge(metrics::Phase::kReload, servers_[s]->env().Now());
-      }
-      if (tenant_ok) {
-        co_await servers_[s]->ServeTenantRequest(tenant, rng, arrival, leg,
-                                                 pa);
-        // Read at the serve-completion instant on the server's clock,
-        // exactly where the unsharded path evaluates it (before the
-        // response leg). The window arrays are written only during hub
-        // instants, so the read is race-free and temporally exact.
-        lost_from = servers_[s]->env().Now() < part_from_until_[s];
-      }
-      // The response leg's jitter is evaluated at its send instant — after
-      // a successful serve, or at the instant the tenant instantiation
-      // failed (where the unsharded path charges the same factor).
-      jitter_back = servers_[s]->env().Now() < jitter_until_[s]
-                        ? jitter_factor_[s]
-                        : 1.0;
-    } catch (...) {
-      // Carry server-side errors across the hop: rethrowing on the worker
-      // would resume the client's continuation on the wrong thread.
-      err = std::current_exception();
-    }
-
-    // Response leg: back onto the hub.
-    co_await engine_.HopToHub(s, ro.net_delay * jitter_back);
-    if (err != nullptr) std::rethrow_exception(err);
-    if (pa != nullptr) pa->Charge(metrics::Phase::kResponseHop, env_.Now());
-
-    if (!tenant_ok) {
-      // Tenant instantiation failed (an alloc-fault window on the server):
-      // the failure reply already paid the return hop above, so the hub
-      // bookkeeping lands at the same instant as the unsharded path's.
-      router_->OnRequestEnd(s);
-      router_->OnRequestError(s);
-      if (attempt > ro.max_retries) {
-        status = RequestStatus::kFailed;
-        ++counters_.requests_failed;
-        co_return;
-      }
-      ++counters_.retries;
-      ++attempt;
-      co_await env_.Delay(ro.retry_backoff);
-      if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-      continue;
-    }
-
-    router_->OnRequestEnd(s);
-    if (lost_from) {
-      ++counters_.responses_lost_from_server;
-      router_->OnRequestError(s);
-      if (ro.failover) {
-        ++counters_.requests_failed_over;
-        failing_over = true;
-        if (ilog != nullptr) {
-          ilog->Mitigation(static_cast<int>(s), "failover", env_.Now());
-        }
-        continue;
-      }
-      if (attempt > ro.max_retries) {
-        status = RequestStatus::kFailed;
-        ++counters_.requests_failed;
-        co_return;
-      }
-      ++counters_.retries;
-      ++attempt;
-      co_await env_.Delay(ro.retry_backoff);
-      if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-      continue;
-    }
-
-    if (leg == RequestStatus::kOk || leg == RequestStatus::kFailedRetried) {
-      router_->OnRequestSuccess(s);
-      ++counters_.requests_ok;
-      status = (attempt == 1 && leg == RequestStatus::kOk)
-                   ? RequestStatus::kOk
-                   : RequestStatus::kFailedRetried;
-      co_return;
-    }
-    if (leg == RequestStatus::kTimedOut) {
-      status = RequestStatus::kTimedOut;
-      ++counters_.requests_timed_out;
-      co_return;
-    }
-    if (leg == RequestStatus::kRejected && !HasUsableDevice(s)) {
-      router_->OnRequestError(s);
-      if (ro.failover) {
-        ++counters_.requests_failed_over;
-        failing_over = true;
-        if (ilog != nullptr) {
-          ilog->Mitigation(static_cast<int>(s), "failover", env_.Now());
-        }
-        continue;
-      }
-    } else if (leg == RequestStatus::kFailed) {
-      router_->OnRequestError(s);
-    }
-    if (attempt > ro.max_retries) {
-      status = leg;
-      ++counters_.requests_failed;
-      co_return;
-    }
-    ++counters_.retries;
-    ++attempt;
-    co_await env_.Delay(ro.retry_backoff);
-    if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
+  if (ilog != nullptr) {
+    ilog->RequestOutcome(static_cast<int>(served), env_.Now(), ok);
   }
 }
 
@@ -760,39 +553,14 @@ sim::Task Cluster::ClientProc(std::size_t client,
       arrival = env_.Now();
     }
     RequestStatus status = RequestStatus::kOk;
-    metrics::PhaseAccount account;
-    metrics::PhaseAccount* pa = nullptr;
-    std::size_t served = out.home_server;
-    if (options_.phases != nullptr) {
-      pa = &account;
-      pa->Start(arrival);
-      // An arrival that found its predecessor still in flight queued at the
-      // front end; that wait is pre-routing time.
-      pa->Charge(metrics::Phase::kRouterQueue, env_.Now());
-    }
-    if (engine_.sharded()) {
-      co_await ShardedDispatch(client, spec.request, out.home_server, rng,
-                               arrival, status, pa, &served);
-    } else {
-      co_await DispatchRequest(client, spec.request, out.home_server, rng,
-                               arrival, status, pa, &served);
-    }
+    co_await DispatchRequest(client, spec.request, out.home_server, rng,
+                             arrival, status);
     out.request_latency_ms.push_back((env_.Now() - arrival).millis());
     out.request_status.push_back(status);
     if (latency_hist != nullptr) {
       latency_hist->Observe(out.request_latency_ms.back());
     }
-    const bool ok = status == RequestStatus::kOk ||
-                    status == RequestStatus::kFailedRetried;
-    if (pa != nullptr) {
-      options_.phases->Record(static_cast<int>(served), spec.request.model,
-                              account, ok, env_.Now() - arrival);
-    }
-    if (options_.incidents != nullptr) {
-      options_.incidents->RequestOutcome(static_cast<int>(served), env_.Now(),
-                                         ok);
-    }
-    if (ok) ++out.requests_completed;
+    if (Succeeded(status)) ++out.requests_completed;
   }
   out.finish_time = env_.Now() - sim::TimePoint();
   // Fold this client's meters into each server it ever ran on. Runs during
@@ -806,21 +574,37 @@ sim::Task Cluster::ClientProc(std::size_t client,
   if (--clients_running_ == 0) StopAll();
 }
 
+template <typename Spec>
+void Cluster::StartRun(const std::vector<Spec>& specs) {
+  std::vector<int> priorities;
+  priorities.reserve(specs.size());
+  for (const Spec& spec : specs) priorities.push_back(spec.request.priority);
+  router_->SetPriorityClasses(std::move(priorities));
+  for (auto& s : servers_) s->StartServing();
+  router_->Start();
+  ArmServerFaults();
+}
+
+template <typename Result>
+void Cluster::AwaitTraffic(const std::vector<Result>& results,
+                           const std::vector<sim::Process>& procs,
+                           const char* stall_message) {
+  engine_.Run();
+  sim::Duration makespan;
+  bool stalled = outstanding_requests_ != 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    makespan = std::max(makespan, results[i].finish_time);
+    if (!procs[i].done()) stalled = true;
+  }
+  makespan_ = makespan;
+  if (stalled) throw ServerStalled(stall_message);
+}
+
 std::vector<ClusterClientResult> Cluster::Run(
     const std::vector<ClusterClientSpec>& clients) {
   if (ran_) throw std::logic_error("Cluster::Run may only be called once");
   ran_ = true;
-  {
-    std::vector<int> priorities;
-    priorities.reserve(clients.size());
-    for (const ClusterClientSpec& c : clients) {
-      priorities.push_back(c.request.priority);
-    }
-    router_->SetPriorityClasses(std::move(priorities));
-  }
-  for (auto& s : servers_) s->StartServing();
-  router_->Start();
-  ArmServerFaults();
+  StartRun(clients);
 
   std::vector<ClusterClientResult> results(clients.size());
   std::vector<sim::Process> procs;
@@ -842,21 +626,9 @@ std::vector<ClusterClientResult> Cluster::Run(
   }
   clients_running_ = clients.size();
 
-  engine_.Run();
-
-  sim::Duration makespan;
-  bool stalled = false;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    makespan = std::max(makespan, results[i].finish_time);
-    if (!procs[i].done()) stalled = true;
-  }
-  makespan_ = makespan;
-  if (stalled) {
-    throw ServerStalled("cluster workload stalled: unfinished clients with a "
-                        "drained event queue");
-  }
-  for (auto& s : servers_) s->ShutdownPool();
-  engine_.Run();  // drain exiting workers
+  AwaitTraffic(results, procs,
+               "cluster workload stalled: unfinished clients with a drained "
+               "event queue");
   FinishRun();
   return results;
 }
@@ -888,37 +660,13 @@ sim::Task Cluster::StreamRequestProc(std::size_t stream,
                                      sim::TimePoint arrival, int index,
                                      ClusterStreamResult& out) {
   RequestStatus status = RequestStatus::kOk;
-  metrics::PhaseAccount account;
-  metrics::PhaseAccount* pa = nullptr;
-  std::size_t served = home;
-  if (options_.phases != nullptr) {
-    pa = &account;
-    pa->Start(arrival);
-    pa->Charge(metrics::Phase::kRouterQueue, env_.Now());
-  }
-  if (engine_.sharded()) {
-    co_await ShardedDispatch(stream, spec.request, home, rng, arrival, status,
-                             pa, &served);
-  } else {
-    co_await DispatchRequest(stream, spec.request, home, rng, arrival, status,
-                             pa, &served);
-  }
+  co_await DispatchRequest(stream, spec.request, home, rng, arrival, status);
   // Slots are indexed by arrival order, so the result layout is identical
   // no matter which order responses land in.
   out.request_latency_ms[static_cast<std::size_t>(index)] =
       (env_.Now() - arrival).millis();
   out.request_status[static_cast<std::size_t>(index)] = status;
-  const bool ok = status == RequestStatus::kOk ||
-                  status == RequestStatus::kFailedRetried;
-  if (pa != nullptr) {
-    options_.phases->Record(static_cast<int>(served), spec.request.model,
-                            account, ok, env_.Now() - arrival);
-  }
-  if (options_.incidents != nullptr) {
-    options_.incidents->RequestOutcome(static_cast<int>(served), env_.Now(),
-                                       ok);
-  }
-  if (ok) ++out.requests_completed;
+  if (Succeeded(status)) ++out.requests_completed;
   const sim::Duration finished = env_.Now() - sim::TimePoint();
   out.finish_time = std::max(out.finish_time, finished);
   if (--outstanding_requests_ == 0 && streams_running_ == 0) StopAll();
@@ -935,17 +683,7 @@ std::vector<ClusterStreamResult> Cluster::RunStreams(
           "generator");
     }
   }
-  {
-    std::vector<int> priorities;
-    priorities.reserve(streams.size());
-    for (const ClusterStreamSpec& st : streams) {
-      priorities.push_back(st.request.priority);
-    }
-    router_->SetPriorityClasses(std::move(priorities));
-  }
-  for (auto& s : servers_) s->StartServing();
-  router_->Start();
-  ArmServerFaults();
+  StartRun(streams);
 
   std::vector<ClusterStreamResult> results(streams.size());
   std::vector<sim::Process> procs;
@@ -969,36 +707,25 @@ std::vector<ClusterStreamResult> Cluster::RunStreams(
         "cluster/" + out.name));
   }
   streams_running_ = streams.size();
-  outstanding_requests_ = 0;
 
-  engine_.Run();
-
-  sim::Duration makespan;
-  bool stalled = outstanding_requests_ != 0;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    makespan = std::max(makespan, results[i].finish_time);
-    if (!procs[i].done()) stalled = true;
-  }
-  makespan_ = makespan;
-  if (stalled) {
-    throw ServerStalled("cluster stream workload stalled: in-flight requests "
-                        "with a drained event queue");
-  }
+  AwaitTraffic(results, procs,
+               "cluster stream workload stalled: in-flight requests with a "
+               "drained event queue");
   // Fold stream meters into their servers (every stream is racked on every
-  // server), then drain the pools.
+  // server) before FinishRun drains the pools.
   for (std::size_t s = 0; s < servers_.size(); ++s) {
     for (const auto& [stream, tenant] : tenant_of_[s]) {
       (void)stream;
       servers_[s]->RetireTenant(tenant);
     }
   }
-  for (auto& s : servers_) s->ShutdownPool();
-  engine_.Run();  // drain exiting workers
   FinishRun();
   return results;
 }
 
 void Cluster::FinishRun() {
+  for (auto& s : servers_) s->ShutdownPool();
+  engine_.Run();  // drain exiting workers
   for (const std::uint64_t n : tenant_instantiations_) {
     counters_.tenant_instantiations += n;
   }

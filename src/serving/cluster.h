@@ -175,23 +175,18 @@ class Cluster : private RouterTransport {
   sim::Task ClientProc(std::size_t client, const ClusterClientSpec& spec,
                        std::uint64_t seed, ClusterClientResult& out);
   // One request end-to-end: route -> forward leg -> serve -> response leg,
-  // with failover re-admission and the budgeted retry loop.
+  // with failover re-admission and the budgeted retry loop, then the
+  // outcome into the phase collector (phase account opened at `arrival`)
+  // and the incident log. The one dispatch path at every shard count: the
+  // network legs are engine hops, so the serve section runs on the server's
+  // shard, and with one shard each hop is a plain delay on the single queue.
   sim::Task DispatchRequest(std::size_t client, const ClientSpec& spec,
                             std::size_t home, sim::Rng& rng,
-                            sim::TimePoint arrival, RequestStatus& status,
-                            metrics::PhaseAccount* pa, std::size_t* served);
-  // Sharded twin of DispatchRequest: identical decision sequence and
-  // virtual-time cost, but the serve section physically executes on the
-  // server's shard — the forward/response network legs become cross-shard
-  // hops through the engine's boundary channels.
-  sim::Task ShardedDispatch(std::size_t client, const ClientSpec& spec,
-                            std::size_t home, sim::Rng& rng,
-                            sim::TimePoint arrival, RequestStatus& status,
-                            metrics::PhaseAccount* pa, std::size_t* served);
+                            sim::TimePoint arrival, RequestStatus& status);
   // Bring client's tenant up on `server`, charging parameter streaming +
   // warm-up for a first arrival on a non-home server. `ok` is false on a
   // transient allocation failure. Runs on the server's environment (the
-  // hub's in unsharded mode, where they are the same object).
+  // hub's at shards=1, where they are the same object).
   sim::Task EnsureTenant(std::size_t server, std::size_t client,
                          const ClientSpec& spec, std::size_t& tenant,
                          bool& ok);
@@ -203,26 +198,34 @@ class Cluster : private RouterTransport {
                               std::size_t home, sim::Rng rng,
                               sim::TimePoint arrival, int index,
                               ClusterStreamResult& out);
-  // Merge per-server private accumulators (tenant counters, trace buffers,
-  // observability registries) hub-side in canonical order, then export.
+  // Run scaffolding shared by Run and RunStreams. StartRun registers each
+  // spec's priority class and starts the servers, the router and the fault
+  // plan. AwaitTraffic runs the spawned traffic to completion, records the
+  // makespan, and throws ServerStalled with `stall_message` if a process or
+  // an in-flight request never finished.
+  template <typename Spec>
+  void StartRun(const std::vector<Spec>& specs);
+  template <typename Result>
+  void AwaitTraffic(const std::vector<Result>& results,
+                    const std::vector<sim::Process>& procs,
+                    const char* stall_message);
+  // Drain the server pools, then merge per-server private accumulators
+  // (tenant counters, trace buffers, observability registries) hub-side in
+  // canonical order and export.
   void FinishRun();
   // Engine introspection -> ClusterOptions::engine_registry (wall-clock
   // numbers: deliberately a separate registry from every byte-compared
   // artifact).
   void ExportEngineIntrospection(metrics::MetricRegistry& reg) const;
 
-  std::size_t shard_of(std::size_t server) const {
-    // One engine lane per server, so the lane map IS the assignment.
-    return engine_.lane_shard(server);
-  }
-
   void ArmServerFaults();
   void ApplyServerFault(const fault::ServerFaultEvent& e);
   static void FaultTrampoline(void* ctx, std::uint64_t index);
   void StopAll();
-  // Hop-delay multiplier for `server` at the hub's current instant.
-  double JitterFactor(std::size_t server) const {
-    return env_.Now() < jitter_until_[server] ? jitter_factor_[server] : 1.0;
+  // Hop-delay multiplier for `server` at instant `now` (read on the clock
+  // of whichever side sends the hop).
+  double JitterFactor(std::size_t server, sim::TimePoint now) const {
+    return now < jitter_until_[server] ? jitter_factor_[server] : 1.0;
   }
   // Lowest capacity multiplier across the server's devices right now (1.0
   // when no fractional-capacity window is open). Read hub-side only.
@@ -230,7 +233,7 @@ class Cluster : private RouterTransport {
 
   ClusterOptions options_;
   // Declared before env_: env_ aliases the engine's hub environment, which
-  // is the one and only environment when shards == 1 (the unsharded path).
+  // is the one and only environment when shards == 1.
   sim::ShardedEngine engine_;
   sim::Environment& env_;
   std::vector<std::unique_ptr<Experiment>> servers_;

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "fault/fault.h"
+#include "metrics/counters.h"
 #include "metrics/registry.h"
 #include "metrics/trace.h"
 #include "serving/arrivals.h"
@@ -378,6 +380,45 @@ TEST(ClusterTest, DeterministicAcrossRepeats) {
       EXPECT_EQ(a[i].request_status[r], b[i].request_status[r]);
     }
   }
+}
+
+TEST(ClusterTest, ZeroNetDelayTrajectoryIsPinned) {
+  // With router.net_delay = 0 the network legs cost nothing, and they must
+  // not schedule anything either: a zero-latency hop would still yield
+  // through the event queue and move the event count. A crash, a partition
+  // each way and an alloc-fault window over the failover instantiations
+  // send served, lost-request and lost-response legs through the zero-delay
+  // path, whose trajectory the pinned values fix.
+  serving::ClusterOptions opts = SmallCluster(3);
+  opts.seed = 31;
+  opts.router.net_delay = Duration::Zero();
+  opts.faults.Crash(At(20), Duration::Millis(50), /*server=*/0);
+  opts.faults.Partition(At(40), Duration::Millis(40), /*server=*/2,
+                        fault::PartitionDirection::kToServer);
+  opts.faults.Partition(At(300), Duration::Millis(400), /*server=*/1,
+                        fault::PartitionDirection::kFromServer);
+  opts.server.faults.AllocFault(At(15), Duration::Millis(60));
+  serving::Cluster cluster(opts);
+  ASSERT_EQ(cluster.shards(), 1u);
+  std::vector<serving::ClusterClientSpec> clients(
+      6, PoissonClient("googlenet", 150.0, 12));
+  const auto results = cluster.Run(clients);
+  std::vector<std::int64_t> finish_ns;
+  for (const auto& r : results) finish_ns.push_back(r.finish_time.nanos());
+  std::vector<std::uint64_t> router;
+  for (const metrics::RouterCounters::Field& f :
+       metrics::RouterCounters::Fields()) {
+    router.push_back(cluster.counters().*f.member);
+  }
+  EXPECT_EQ(finish_ns,
+            (std::vector<std::int64_t>{1697125383, 2047591128, 1775457449,
+                                       1027540141, 1945876853, 1775391873}));
+  EXPECT_EQ(cluster.env().events_executed(), 5231448u);
+  // RouterCounters::Fields() order: lost requests, lost responses,
+  // failovers and budgeted retries all fired.
+  EXPECT_EQ(router, (std::vector<std::uint64_t>{1, 0, 2, 0, 0, 79, 65, 2, 0,
+                                                 5, 6, 6, 1, 3, 297, 18, 20, 4,
+                                                 4, 3, 0, 0, 0, 0, 0}));
 }
 
 // ---------------------------------------------------------------------------

@@ -21,12 +21,14 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "core/profiler.h"
 #include "core/scheduler.h"
 #include "fault/fault.h"
+#include "metrics/counters.h"
 #include "metrics/registry.h"
 #include "metrics/trace.h"
 #include "serving/cluster.h"
@@ -190,6 +192,9 @@ struct GoldenClusterRun {
   std::uint64_t ok = 0;
   std::uint64_t failed_over = 0;
   std::uint64_t transitions = 0;
+  // Every RouterCounters field in Fields() order (sharded workload only;
+  // the pinned kGoldenCluster leaves it empty).
+  std::vector<std::uint64_t> router;
 
   bool operator==(const GoldenClusterRun&) const = default;
 };
@@ -259,16 +264,20 @@ TEST(GoldenDeterminismTest, ClusterMatchesGoldenAndReplays) {
 // IDENTICAL to the single-queue run, for any shard count, on any host
 // (thread scheduling must not leak into outcomes). A 4-server workload with
 // a crash plus an asymmetric partition exercises hub instants (faults,
-// probes, routing) interleaved with parallel windows (serving), cross-shard
-// failover, and lost-response re-execution. `events` is excluded from the
-// cross-shard comparison only in that it counts per-environment; summed
-// across shards it too must match the unsharded count (same events, merely
-// executed on different queues).
+// probes, routing) interleaved with parallel windows (serving) and
+// cross-shard failover. The partition direction picks the lost leg: the
+// default kToServer drops requests on the way in; kFromServer drops
+// responses, which re-execute at-least-once under failover and spend retry
+// budget without it. `events` counts per environment; summed across shards
+// it must match the unsharded count (same events, merely executed on
+// different queues).
 
 GoldenClusterRun RunShardedClusterWorkload(
     std::size_t shards,
     serving::ShardAssignment assignment = serving::ShardAssignment::kStatic,
-    std::vector<double> weights = {}) {
+    std::vector<double> weights = {},
+    fault::PartitionDirection partition = fault::PartitionDirection::kToServer,
+    bool failover = true) {
   serving::ClusterOptions opts;
   opts.num_servers = 4;
   opts.server.num_gpus = 1;
@@ -277,11 +286,11 @@ GoldenClusterRun RunShardedClusterWorkload(
   opts.shards = shards;
   opts.assignment = assignment;
   opts.server_weights = std::move(weights);
+  opts.router.failover = failover;
   opts.faults.Crash(sim::TimePoint() + sim::Duration::Millis(100),
                     sim::Duration::Millis(400), /*server=*/0);
   opts.faults.Partition(sim::TimePoint() + sim::Duration::Millis(300),
-                        sim::Duration::Millis(300), /*server=*/2,
-                        fault::PartitionDirection::kToServer);
+                        sim::Duration::Millis(300), /*server=*/2, partition);
   serving::Cluster cluster(opts);
   serving::ClusterClientSpec c;
   c.request.model = "googlenet";
@@ -301,7 +310,21 @@ GoldenClusterRun RunShardedClusterWorkload(
   out.ok = cluster.counters().requests_ok;
   out.failed_over = cluster.counters().requests_failed_over;
   out.transitions = cluster.counters().server_transitions;
+  for (const metrics::RouterCounters::Field& f :
+       metrics::RouterCounters::Fields()) {
+    out.router.push_back(cluster.counters().*f.member);
+  }
   return out;
+}
+
+// The value of the RouterCounters field `name` recorded in `run`.
+std::uint64_t RouterField(const GoldenClusterRun& run, std::string_view name) {
+  const auto fields = metrics::RouterCounters::Fields();
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (name == fields[i].name) return run.router.at(i);
+  }
+  ADD_FAILURE() << "no RouterCounters field " << name;
+  return 0;
 }
 
 TEST(GoldenDeterminismTest, ShardedClusterBitIdenticalToUnsharded) {
@@ -326,6 +349,50 @@ TEST(GoldenDeterminismTest, ShardedClusterWithTwoShardsMatchesToo) {
   const GoldenClusterRun seq = RunShardedClusterWorkload(1);
   const GoldenClusterRun par = RunShardedClusterWorkload(2);
   EXPECT_EQ(par, seq);
+}
+
+TEST(GoldenDeterminismTest, ShardedLostLegsAndBudgetedRetriesMatchUnsharded) {
+  // The lost-response branch (kFromServer: the work ran, the answer is
+  // dropped) and the budgeted-retry branches taken with failover off — after
+  // a lost request, a lost response, or a crashed server's rejection — must
+  // replay the single-queue trajectory at every shard count. (With failover
+  // off every leg is pinned to its racked home tenant, so the tenant-
+  // instantiation failure branch cannot fire here; the cluster_test alloc-
+  // fault case covers it.)
+  using fault::PartitionDirection;
+  struct Scenario {
+    PartitionDirection partition;
+    bool failover;
+  };
+  for (const Scenario sc : {Scenario{PartitionDirection::kFromServer, true},
+                            Scenario{PartitionDirection::kFromServer, false},
+                            Scenario{PartitionDirection::kToServer, false}}) {
+    SCOPED_TRACE(std::string(sc.partition == PartitionDirection::kFromServer
+                                 ? "kFromServer"
+                                 : "kToServer") +
+                 (sc.failover ? " failover" : " no-failover"));
+    const auto run = [&](std::size_t shards) {
+      return RunShardedClusterWorkload(
+          shards, serving::ShardAssignment::kStatic, {}, sc.partition,
+          sc.failover);
+    };
+    const GoldenClusterRun seq = run(1);
+    // The scenario must actually take the branch it claims to cover.
+    if (sc.partition == PartitionDirection::kFromServer) {
+      EXPECT_GT(RouterField(seq, "responses_lost_from_server"), 0u);
+    } else {
+      EXPECT_GT(RouterField(seq, "requests_lost_to_server"), 0u);
+    }
+    if (sc.failover) {
+      EXPECT_GT(RouterField(seq, "requests_failed_over"), 0u);
+    } else {
+      EXPECT_EQ(RouterField(seq, "requests_failed_over"), 0u);
+      EXPECT_GT(RouterField(seq, "retries"), 0u);
+      EXPECT_GT(RouterField(seq, "requests_failed"), 0u);
+    }
+    EXPECT_EQ(run(2), seq) << "2-shard run diverged from the single queue";
+    EXPECT_EQ(run(4), seq) << "4-shard run diverged from the single queue";
+  }
 }
 
 TEST(GoldenDeterminismTest, ShardedAdaptiveAssignmentReplaysStaticTrajectory) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "graph/executor.h"
@@ -29,6 +30,14 @@ Node CpuNode(std::string name, Duration t, std::vector<NodeId> inputs) {
   n.cpu_time = t;
   n.inputs = std::move(inputs);
   return n;
+}
+
+// "<prefix><i>", built by appending: GCC 12's -Wrestrict misfires on the
+// string insert behind `"g" + std::to_string(i)` at -O2 and above.
+std::string Numbered(char prefix, int i) {
+  std::string s(1, prefix);
+  s += std::to_string(i);
+  return s;
 }
 
 Node GpuNode(std::string name, double blocks_per_item, Duration block_work,
@@ -358,12 +367,12 @@ TEST_P(RandomDagTest, AllNodesExecutedDependenciesHeld) {
     }
     std::vector<NodeId> inputs(ins.begin(), ins.end());
     if (rng.NextDouble() < 0.5) {
-      g.AddNode(GpuNode("g" + std::to_string(i),
+      g.AddNode(GpuNode(Numbered('g', i),
                         rng.Uniform(0.5, 2.0),
                         Duration::Micros(rng.UniformInt(1, 30)),
                         std::move(inputs)));
     } else {
-      g.AddNode(CpuNode("c" + std::to_string(i),
+      g.AddNode(CpuNode(Numbered('c', i),
                         Duration::Micros(rng.UniformInt(1, 20)),
                         std::move(inputs)));
     }
