@@ -70,7 +70,7 @@ int main() {
   std::printf("\nrouter health transitions:\n");
   for (const auto& t : cluster.router().transitions()) {
     std::printf("  %8.3f s  srv%zu  %-10s -> %s\n", (t.at - t0).seconds(),
-                t.server, serving::ToString(t.from), serving::ToString(t.to));
+                t.target, serving::ToString(t.from), serving::ToString(t.to));
   }
 
   std::printf("\nrouter MTTR incidents (down-mark to readmission):\n");

@@ -8,32 +8,11 @@
 #include "gpusim/gpu.h"
 #include "metrics/counters.h"
 #include "metrics/trace.h"
-#include "serving/health_score.h"
+#include "serving/health_tracker.h"
 #include "sim/environment.h"
 #include "sim/task.h"
 
 namespace olympian::serving {
-
-// Placement-facing classification of one device.
-enum class DeviceHealth : std::uint8_t {
-  kHealthy = 0,  // serving normally
-  kDegraded,     // serving, but impaired (hang in progress, alloc faults)
-  kDown,         // not serving: reset outage, or a hang that outlived the
-                 // escalation budget and was failed over
-  kRecovering,   // driver back up; reloading / warming before readmission
-};
-
-const char* ToString(DeviceHealth h);
-
-// One observed health-state edge, in transition order across all devices.
-// The failover test asserts on this log (down observed, readmission
-// observed); it is also mirrored to the tracer's health track.
-struct HealthTransition {
-  std::size_t gpu = 0;
-  DeviceHealth from = DeviceHealth::kHealthy;
-  DeviceHealth to = DeviceHealth::kHealthy;
-  sim::TimePoint at;
-};
 
 // Callbacks the monitor raises towards the serving layer. `OnDeviceDown`
 // fires synchronously inside the device signal that killed it — before any
@@ -86,13 +65,9 @@ class HealthMonitor : public HealthObserver {
   struct DeviceStats {
     std::uint64_t down_events = 0;
     std::uint64_t readmissions = 0;
-    std::uint64_t probe_failures = 0;
-    sim::Duration time_down;      // kDown + kRecovering, completed episodes
-    sim::Duration time_degraded;  // completed kDegraded episodes
-    sim::Duration mttr_total;     // sum of down -> readmitted intervals
     // One entry per completed recovery (down -> readmitted), in episode
-    // order: the per-incident repair times behind mttr_total, so consumers
-    // can build a distribution (histogram / p95) instead of one average.
+    // order, so consumers can build a distribution (histogram / p95)
+    // instead of one average.
     std::vector<sim::Duration> mttr_incidents;
   };
 
@@ -114,23 +89,23 @@ class HealthMonitor : public HealthObserver {
   void Stop();
 
   std::size_t num_devices() const { return devices_.size(); }
-  DeviceHealth health(std::size_t gpu) const;
+  // Per-device state, transition log, MTTR and score (targets are gpus).
+  const HealthTracker& tracker() const { return tracker_; }
+  Health health(std::size_t gpu) const { return tracker_.health(gpu); }
   // Routable: healthy or degraded (down/recovering devices take no traffic).
-  bool Usable(std::size_t gpu) const;
-  const DeviceStats& stats(std::size_t gpu) const;
+  bool Usable(std::size_t gpu) const { return tracker_.Usable(gpu); }
+  DeviceStats stats(std::size_t gpu) const;
   const std::vector<HealthTransition>& transitions() const {
-    return transitions_;
+    return tracker_.transitions();
   }
   // Mean time to repair: down -> readmitted, averaged over completed
   // recoveries of `gpu`. Zero when the device never went down.
-  sim::Duration Mttr(std::size_t gpu) const;
+  sim::Duration Mttr(std::size_t gpu) const { return tracker_.Mttr(gpu); }
 
   // Gray-failure scoring (all trivial when scoring is disabled).
-  bool scoring() const { return options_.score.enabled; }
+  bool scoring() const { return tracker_.scoring(); }
   // Continuous health score of `gpu` (1.0 when scoring is disabled).
-  double score(std::size_t gpu) const;
-  // Measured probe slowdown vs. the learned baseline (1.0 = nominal).
-  double slowdown(std::size_t gpu) const;
+  double score(std::size_t gpu) const { return tracker_.score(gpu); }
 
   // HealthObserver default self-wiring (used when no external observer is
   // installed; the serving layer normally passes itself instead).
@@ -161,9 +136,6 @@ class HealthMonitor : public HealthObserver {
 
   struct Device {
     gpusim::Gpu* gpu = nullptr;
-    DeviceHealth health = DeviceHealth::kHealthy;
-    sim::TimePoint state_since;
-    sim::TimePoint down_since;
     gpusim::StreamId probe_stream = -1;
     // Bumped on every down / readmission edge; stale timers and recovery
     // pipelines from an earlier episode check it and bail.
@@ -174,18 +146,10 @@ class HealthMonitor : public HealthObserver {
     // True when the current kDown came from hang escalation (no reset): the
     // recovery pipeline then skips driver re-init and parameter reload.
     bool down_from_hang = false;
-    // Probe-RTT health score (only consulted when scoring is enabled).
-    // `score_degraded` is the hysteresis latch: true from the degrade edge
-    // until the score climbs back above recover_above; while set, listener
-    // clear edges may not transition the device back to healthy.
-    HealthScore score;
-    bool score_degraded = false;
-    DeviceStats stats;
     Listener listener;
   };
 
-  void Transition(std::size_t gpu, DeviceHealth to);
-  void UpdateScoreHealth(std::size_t gpu);
+  void Transition(std::size_t gpu, Health to);
   void GoDown(std::size_t gpu, bool from_hang);
   void Readmit(std::size_t gpu);
   sim::Task RecoveryProc(std::size_t gpu, std::uint64_t generation,
@@ -209,7 +173,7 @@ class HealthMonitor : public HealthObserver {
   metrics::ServingCounters* counters_;
   metrics::Tracer* tracer_;
   std::vector<std::unique_ptr<Device>> devices_;
-  std::vector<HealthTransition> transitions_;
+  HealthTracker tracker_;
   bool started_ = false;
   bool stopped_ = false;
 };

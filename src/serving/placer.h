@@ -20,9 +20,8 @@ namespace olympian::serving {
 // replica was instantiated for free at setup). Route prefers the primary
 // while it is usable — sticky placement keeps the no-fault path identical
 // to the legacy behaviour and avoids paying replica instantiation for
-// nothing — and otherwise picks the least-loaded usable device (healthy
-// preferred over degraded, then fewest outstanding requests, then lowest
-// index: a deterministic total order).
+// nothing — and otherwise picks the least-loaded usable device, preferring
+// one that already holds the replica (PickTarget, shared with the Router).
 //
 // The replica registry coordinates lazy model instantiation on failover
 // targets: the first request routed to a device without the model marks it
@@ -30,7 +29,7 @@ namespace olympian::serving {
 // requests await the load instead of double-paying.
 class Placer {
  public:
-  static constexpr std::size_t kNoDevice = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kNoDevice = kNoTarget;
 
   enum class ReplicaState : std::uint8_t { kAbsent = 0, kLoading, kReady };
 
@@ -45,10 +44,7 @@ class Placer {
   // hedged requests, which must land somewhere other than the primary
   // attempt. Returns kNoDevice when no usable device remains (every device
   // down: the caller rejects promptly instead of stalling). When the
-  // monitor scores devices, the binary rank becomes weighted selection:
-  // the primary stays sticky only while score-healthy, and fallback
-  // maximizes score / (1 + outstanding) (ties -> replica-ready, then
-  // lower index).
+  // monitor scores devices, the pick is score-weighted (see PickTarget).
   std::size_t Route(const std::string& model, std::size_t primary,
                     std::size_t exclude = kNoDevice) const;
 
@@ -84,8 +80,6 @@ class Placer {
     std::unique_ptr<sim::CondVar> cv;  // created on first waiter
   };
 
-  std::size_t RouteScored(const std::string& model, std::size_t primary,
-                          std::size_t exclude) const;
   Replica& Slot(std::size_t gpu, const std::string& model);
   const Replica* FindSlot(std::size_t gpu, const std::string& model) const;
 

@@ -7,20 +7,6 @@
 
 namespace olympian::serving {
 
-const char* ToString(ServerHealth h) {
-  switch (h) {
-    case ServerHealth::kHealthy:
-      return "healthy";
-    case ServerHealth::kDegraded:
-      return "degraded";
-    case ServerHealth::kDown:
-      return "down";
-    case ServerHealth::kRecovering:
-      return "recovering";
-  }
-  return "unknown";
-}
-
 Router::Router(sim::Environment& env, RouterTransport& transport,
                std::size_t num_servers, RouterOptions options,
                metrics::RouterCounters* counters,
@@ -29,13 +15,15 @@ Router::Router(sim::Environment& env, RouterTransport& transport,
       transport_(transport),
       options_(options),
       counters_(counters),
-      registry_(registry) {
+      registry_(registry),
+      tracker_(num_servers, options_.score),
+      streaks_(num_servers),
+      outstanding_(num_servers, 0) {
   if (num_servers < 1) throw std::invalid_argument("Router needs >= 1 server");
   if (options_.down_after_errors < 1 || options_.recovery_successes < 1) {
     throw std::invalid_argument(
         "down_after_errors and recovery_successes must be >= 1");
   }
-  Validate(options_.score);
   if (options_.brownout.enabled) {
     if (!options_.score.enabled) {
       throw std::invalid_argument("brownout requires health scoring");
@@ -47,9 +35,7 @@ Router::Router(sim::Environment& env, RouterTransport& transport,
           "brownout needs 0 < enter_below < exit_above <= 1");
     }
   }
-  servers_.resize(num_servers);
   if (options_.score.enabled) {
-    scores_.assign(num_servers, HealthScore(options_.score));
     fault_onset_.resize(num_servers);
     onset_armed_.assign(num_servers, false);
   }
@@ -59,7 +45,7 @@ void Router::Start() {
   if (started_) throw std::logic_error("Router::Start called twice");
   started_ = true;
   if (options_.probe_interval <= sim::Duration::Zero()) return;
-  for (std::size_t s = 0; s < servers_.size(); ++s) {
+  for (std::size_t s = 0; s < num_servers(); ++s) {
     env_.Spawn(ProbeLoop(s), "router/probe-server" + std::to_string(s));
   }
 }
@@ -68,59 +54,19 @@ void Router::Stop() { stopped_ = true; }
 
 std::size_t Router::Route(std::size_t home) {
   if (!options_.failover) return home;  // static pin baseline
-  if (scoring()) return RouteScored(home);
-  if (Routable(home)) return home;
-  // Least-loaded over routable servers: healthy beats degraded, then fewest
-  // outstanding, then lowest index — a deterministic total order.
-  std::size_t best = kNoServer;
-  for (std::size_t s = 0; s < servers_.size(); ++s) {
-    if (!Routable(s)) continue;
-    if (best == kNoServer) {
-      best = s;
-      continue;
-    }
-    const ServerState& a = servers_[s];
-    const ServerState& b = servers_[best];
-    const int rank_a = a.health == ServerHealth::kHealthy ? 0 : 1;
-    const int rank_b = b.health == ServerHealth::kHealthy ? 0 : 1;
-    if (rank_a != rank_b ? rank_a < rank_b : a.outstanding < b.outstanding) {
-      best = s;
-    }
-  }
-  return best;
-}
-
-std::size_t Router::RouteScored(std::size_t home) const {
-  // Sticky home while it is routable AND score-healthy (the hysteresis
-  // state, not the raw score, so routing inherits the anti-flap margin).
-  // Otherwise weighted selection: maximize score / (1 + outstanding) over
-  // routable servers. Strict > keeps ties on the lowest index — the same
-  // deterministic total order the binary rank used.
-  if (home < servers_.size() && Routable(home) &&
-      servers_[home].health == ServerHealth::kHealthy) {
-    return home;
-  }
-  std::size_t best = kNoServer;
-  double best_w = -1.0;
-  for (std::size_t s = 0; s < servers_.size(); ++s) {
-    if (!Routable(s)) continue;
-    const double w = scores_[s].score() /
-                     (1.0 + static_cast<double>(servers_[s].outstanding));
-    if (w > best_w) {
-      best_w = w;
-      best = s;
-    }
-  }
-  return best;
+  return PickTarget(
+      tracker_, outstanding_, home, kNoServer,
+      [this](std::size_t s) { return Routable(s); },
+      [](std::size_t) { return true; });
 }
 
 void Router::OnRequestStart(std::size_t server) {
-  ++servers_.at(server).outstanding;
+  ++outstanding_.at(server);
   if (counters_ != nullptr) ++counters_->requests_routed;
 }
 
 void Router::OnRequestEnd(std::size_t server) {
-  --servers_.at(server).outstanding;
+  --outstanding_.at(server);
 }
 
 void Router::OnRequestSuccess(std::size_t server) {
@@ -128,26 +74,24 @@ void Router::OnRequestSuccess(std::size_t server) {
   // clears the error streak without advancing the recovering hand-shake.
   // With scoring on, the hysteresis thresholds own the degraded->healthy
   // edge — one fast request must not clear a measured slowdown.
-  servers_.at(server).errors = 0;
-  if (!scoring() && servers_[server].health == ServerHealth::kDegraded) {
-    Transition(server, ServerHealth::kHealthy);
+  streaks_.at(server).errors = 0;
+  if (!scoring() && tracker_.health(server) == Health::kDegraded) {
+    Transition(server, Health::kHealthy);
   }
 }
 
 void Router::OnRequestError(std::size_t server) { OnResult(server, false); }
 
 bool Router::Routable(std::size_t server) const {
-  const ServerHealth h = servers_.at(server).health;
-  return (h == ServerHealth::kHealthy || h == ServerHealth::kDegraded) &&
-         transport_.HasUsableDevice(server);
+  return tracker_.Usable(server) && transport_.HasUsableDevice(server);
 }
 
-ServerHealth Router::health(std::size_t server) const {
-  return servers_.at(server).health;
-}
-
-std::uint64_t Router::outstanding(std::size_t server) const {
-  return servers_.at(server).outstanding;
+std::vector<sim::Duration> Router::mttr_incidents() const {
+  std::vector<sim::Duration> out;
+  for (const MttrIncident& m : tracker_.mttr_incidents()) {
+    out.push_back(m.mttr);
+  }
+  return out;
 }
 
 sim::Task Router::ProbeLoop(std::size_t server) {
@@ -168,42 +112,45 @@ sim::Task Router::ProbeLoop(std::size_t server) {
                       {{"server", std::to_string(server)}})
           .Sample(env_.Now(), rtt.millis());
     }
-    if (scoring()) scores_[server].OnProbe(ok, rtt);
+    if (scoring()) tracker_.OnProbe(server, ok, rtt);
     OnResult(server, ok);
-    if (scoring()) {
-      UpdateScoreHealth(server);
-      UpdateBrownout();
+    if (!scoring()) continue;
+    const HealthTracker::ScoreEdge edge = tracker_.UpdateScoreLatch(server);
+    if (edge == HealthTracker::ScoreEdge::kDegrade) {
+      if (counters_ != nullptr) ++counters_->score_degrade_events;
+      Transition(server, Health::kDegraded);
+    } else if (edge == HealthTracker::ScoreEdge::kRecover) {
+      if (counters_ != nullptr) ++counters_->score_recover_events;
+      Transition(server, Health::kHealthy);
     }
+    UpdateBrownout();
   }
 }
 
 void Router::OnResult(std::size_t server, bool ok) {
-  ServerState& st = servers_.at(server);
+  Streak& st = streaks_.at(server);
+  const Health h = tracker_.health(server);
   if (ok) {
     st.errors = 0;
-    switch (st.health) {
-      case ServerHealth::kHealthy:
+    switch (h) {
+      case Health::kHealthy:
         break;
-      case ServerHealth::kDegraded:
+      case Health::kDegraded:
         // Under scoring the hysteresis owns this edge: one fast probe must
-        // not clear a measured slowdown (UpdateScoreHealth recovers it).
-        if (!scoring()) Transition(server, ServerHealth::kHealthy);
+        // not clear a measured slowdown (the score latch recovers it).
+        if (!scoring()) Transition(server, Health::kHealthy);
         break;
-      case ServerHealth::kDown:
+      case Health::kDown:
         st.successes = 1;
-        Transition(server, ServerHealth::kRecovering);
+        Transition(server, Health::kRecovering);
         break;
-      case ServerHealth::kRecovering:
+      case Health::kRecovering:
         // Not routed until the warm-up hand-shake completes: the server must
         // answer `recovery_successes` consecutive probes before traffic.
         if (++st.successes >= options_.recovery_successes) {
-          mttr_incidents_.push_back(env_.Now() - st.down_since);
+          tracker_.EndOutage(server, env_.Now());
           if (counters_ != nullptr) ++counters_->server_readmissions;
-          // Re-learn the baseline: post-recovery "normal" may differ, and
-          // the error EWMA accumulated through the outage must not
-          // instantly re-degrade the readmitted server.
-          if (scoring()) scores_[server].Reset();
-          Transition(server, ServerHealth::kHealthy);
+          Transition(server, Health::kHealthy);
         }
         break;
     }
@@ -211,37 +158,37 @@ void Router::OnResult(std::size_t server, bool ok) {
   }
   st.successes = 0;
   ++st.errors;
-  switch (st.health) {
-    case ServerHealth::kDown:
+  switch (h) {
+    case Health::kDown:
       break;
-    case ServerHealth::kRecovering:
-      // Relapse: same outage episode, so down_since is preserved and the
-      // eventual MTTR covers the whole incident.
-      Transition(server, ServerHealth::kDown);
+    case Health::kRecovering:
+      // Relapse: same outage episode, so the eventual MTTR covers the whole
+      // incident.
+      Transition(server, Health::kDown);
       break;
-    case ServerHealth::kHealthy:
-    case ServerHealth::kDegraded:
+    case Health::kHealthy:
+    case Health::kDegraded:
       if (st.errors >= options_.down_after_errors) {
-        st.down_since = env_.Now();
+        tracker_.BeginOutage(server, env_.Now());
         if (counters_ != nullptr) ++counters_->server_down_events;
-        Transition(server, ServerHealth::kDown);
-      } else if (!scoring() && st.health == ServerHealth::kHealthy) {
+        Transition(server, Health::kDown);
+      } else if (!scoring() && h == Health::kHealthy) {
         // With scoring on, a single error only feeds the error EWMA; the
         // hysteresis check owns the healthy->degraded edge.
-        Transition(server, ServerHealth::kDegraded);
+        Transition(server, Health::kDegraded);
       }
       break;
   }
 }
 
-void Router::Transition(std::size_t server, ServerHealth to) {
-  ServerState& st = servers_[server];
-  if (st.health == to) return;
+void Router::Transition(std::size_t server, Health to) {
+  const Health from = tracker_.health(server);
+  if (from == to) return;
   // Detection latency: an armed gray-fault onset is consumed by the first
   // away-from-healthy edge; going back to healthy discards a stale onset
   // (the window closed before the router ever noticed).
   if (scoring() && !onset_armed_.empty() && onset_armed_[server]) {
-    if (to == ServerHealth::kDegraded || to == ServerHealth::kDown) {
+    if (to == Health::kDegraded || to == Health::kDown) {
       const sim::Duration lat = env_.Now() - fault_onset_[server];
       detection_latencies_.push_back(lat);
       onset_armed_[server] = false;
@@ -249,7 +196,7 @@ void Router::Transition(std::size_t server, ServerHealth to) {
         registry_->GetHistogram("olympian_router_detection_latency_ms")
             .Observe(lat.millis());
       }
-    } else if (to == ServerHealth::kHealthy) {
+    } else if (to == Health::kHealthy) {
       onset_armed_[server] = false;
     }
   }
@@ -257,11 +204,10 @@ void Router::Transition(std::size_t server, ServerHealth to) {
     // The incident log's notion of "healthy" is the router's top state; any
     // away-edge is a detection, the return edge is the recovery.
     incident_log_->HealthTransition(static_cast<int>(server),
-                                    st.health == ServerHealth::kHealthy,
-                                    to == ServerHealth::kHealthy, env_.Now());
+                                    from == Health::kHealthy,
+                                    to == Health::kHealthy, env_.Now());
   }
-  transitions_.push_back(ServerTransition{server, st.health, to, env_.Now()});
-  st.health = to;
+  tracker_.Transition(server, to, env_.Now());
   if (counters_ != nullptr) ++counters_->server_transitions;
   if (registry_ != nullptr) {
     registry_
@@ -271,16 +217,11 @@ void Router::Transition(std::size_t server, ServerHealth to) {
   }
 }
 
-double Router::score(std::size_t server) const {
-  if (!scoring()) return 1.0;
-  return scores_.at(server).score();
-}
-
 void Router::NoteFaultOnset(std::size_t server) {
   if (!scoring()) return;
   // Only arm from the healthy state: a fault landing on an already
   // degraded/down server has no healthy->degraded edge to measure.
-  if (servers_.at(server).health != ServerHealth::kHealthy) return;
+  if (tracker_.health(server) != Health::kHealthy) return;
   if (onset_armed_[server]) return;  // overlapping windows: first onset wins
   onset_armed_[server] = true;
   fault_onset_[server] = env_.Now();
@@ -305,20 +246,6 @@ bool Router::BrownoutSheds(int priority) const {
   return rank < static_cast<std::size_t>(brownout_level_);
 }
 
-void Router::UpdateScoreHealth(std::size_t server) {
-  ServerState& st = servers_[server];
-  const double sc = scores_[server].score();
-  if (st.health == ServerHealth::kHealthy &&
-      sc < options_.score.degrade_below) {
-    if (counters_ != nullptr) ++counters_->score_degrade_events;
-    Transition(server, ServerHealth::kDegraded);
-  } else if (st.health == ServerHealth::kDegraded &&
-             sc >= options_.score.recover_above) {
-    if (counters_ != nullptr) ++counters_->score_recover_events;
-    Transition(server, ServerHealth::kHealthy);
-  }
-}
-
 void Router::UpdateBrownout() {
   if (!options_.brownout.enabled || priority_classes_.empty()) return;
   const sim::TimePoint now = env_.Now();
@@ -328,10 +255,10 @@ void Router::UpdateBrownout() {
   // Aggregate capacity: mean score over routable servers, with unroutable
   // servers contributing zero — a down server is lost capacity too.
   double total = 0.0;
-  for (std::size_t s = 0; s < servers_.size(); ++s) {
-    if (Routable(s)) total += scores_[s].score();
+  for (std::size_t s = 0; s < num_servers(); ++s) {
+    if (Routable(s)) total += tracker_.score(s);
   }
-  const double cap = total / static_cast<double>(servers_.size());
+  const double cap = total / static_cast<double>(num_servers());
   // The highest class is never shed: brownout degrades, it never blacks out.
   const int max_level = static_cast<int>(priority_classes_.size()) - 1;
   const int before = brownout_level_;

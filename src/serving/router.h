@@ -6,24 +6,12 @@
 #include "metrics/counters.h"
 #include "metrics/incident.h"
 #include "metrics/registry.h"
-#include "serving/health_score.h"
+#include "serving/health_tracker.h"
 #include "sim/environment.h"
 #include "sim/task.h"
 #include "sim/time.h"
 
 namespace olympian::serving {
-
-// The router's view of one server. Mirrors DeviceHealth one level up: the
-// router cannot see inside a server, so its states are inferred from probe
-// heartbeats and per-request outcomes rather than device signals.
-enum class ServerHealth : std::uint8_t {
-  kHealthy = 0,
-  kDegraded,    // >= 1 consecutive error, below the down threshold
-  kDown,        // consecutive errors reached the threshold
-  kRecovering,  // probes succeeding again after kDown; not yet routed
-};
-
-const char* ToString(ServerHealth h);
 
 struct RouterOptions {
   // Health-aware routing with cross-server failover. Off = static pin: every
@@ -73,14 +61,6 @@ struct RouterOptions {
   BrownoutOptions brownout;
 };
 
-// One edge of the router's per-server health state machine.
-struct ServerTransition {
-  std::size_t server = 0;
-  ServerHealth from = ServerHealth::kHealthy;
-  ServerHealth to = ServerHealth::kHealthy;
-  sim::TimePoint at;
-};
-
 // How the router reaches servers. Implemented by the Cluster, which knows
 // about partitions, crashes, and hangs; the Router only sees outcomes.
 class RouterTransport {
@@ -95,11 +75,16 @@ class RouterTransport {
 };
 
 // Front-end request router: sticky-then-least-loaded placement over N
-// servers with a probe-driven health view. Single-writer state on the
+// servers with a probe-driven health view. The router cannot see inside a
+// server, so its HealthTracker states are inferred from probe heartbeats
+// and per-request outcomes rather than device signals: kDegraded is an
+// error streak below the down threshold (or, with scoring, a low score),
+// kDown is a streak that reached it, and kRecovering is a down server
+// answering probes again but not yet routed. Single-writer state on the
 // deterministic event loop — no locking, fully reproducible.
 class Router {
  public:
-  static constexpr std::size_t kNoServer = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kNoServer = kNoTarget;
 
   Router(sim::Environment& env, RouterTransport& transport,
          std::size_t num_servers, RouterOptions options,
@@ -114,13 +99,10 @@ class Router {
   // Stop the probe loops so the shared event queue can drain.
   void Stop();
 
-  // Pick a server for one request whose home is `home`. Sticky: the home
-  // wins while routable. Otherwise least-loaded among routable servers
-  // (healthy before degraded, then fewest outstanding, then lowest index).
-  // With scoring enabled the binary rank becomes weighted selection: the
-  // home stays sticky only while score-healthy, and fallback maximizes
-  // score / (1 + outstanding) over routable servers (ties -> lower index).
-  // With failover off, always the home. kNoServer when nothing is routable.
+  // Pick a server for one request whose home is `home`: PickTarget over
+  // routable servers (every server counts as replica-ready; none is
+  // excluded). With failover off, always the home. kNoServer when nothing
+  // is routable.
   std::size_t Route(std::size_t home);
 
   // Outstanding accounting + health feedback from the request path.
@@ -129,16 +111,16 @@ class Router {
   void OnRequestSuccess(std::size_t server);
   void OnRequestError(std::size_t server);
 
+  // Usable in the health view and holding a device that accepts traffic.
   bool Routable(std::size_t server) const;
-  ServerHealth health(std::size_t server) const;
-  std::uint64_t outstanding(std::size_t server) const;
-  std::size_t num_servers() const { return servers_.size(); }
+  Health health(std::size_t server) const { return tracker_.health(server); }
+  std::size_t num_servers() const { return tracker_.size(); }
 
   // --- gray-failure detection & response --------------------------------
 
   bool scoring() const { return options_.score.enabled; }
   // Continuous health score of `server` (1.0 when scoring is disabled).
-  double score(std::size_t server) const;
+  double score(std::size_t server) const { return tracker_.score(server); }
 
   // Called by the fault applier when a gray fault opens on `server`; the
   // virtual time from here to the next healthy->degraded/down edge is the
@@ -162,29 +144,23 @@ class Router {
 
   // Every health edge, in order. The recovering->healthy edge count is the
   // number of completed router-visible recoveries.
-  const std::vector<ServerTransition>& transitions() const {
-    return transitions_;
+  const std::vector<HealthTransition>& transitions() const {
+    return tracker_.transitions();
   }
-  // One entry per completed recovery: down-mark to readmission (the
-  // router-side MTTR, which includes detection latency).
-  const std::vector<sim::Duration>& mttr_incidents() const {
-    return mttr_incidents_;
-  }
+  // One entry per completed recovery, across servers in completion order:
+  // down-mark to readmission (the router-side MTTR, which includes
+  // detection latency).
+  std::vector<sim::Duration> mttr_incidents() const;
 
  private:
-  struct ServerState {
-    ServerHealth health = ServerHealth::kHealthy;
+  struct Streak {
     int errors = 0;     // consecutive
     int successes = 0;  // consecutive probe successes while recovering
-    std::uint64_t outstanding = 0;
-    sim::TimePoint down_since;
   };
 
   sim::Task ProbeLoop(std::size_t server);
   void OnResult(std::size_t server, bool ok);
-  void Transition(std::size_t server, ServerHealth to);
-  std::size_t RouteScored(std::size_t home) const;
-  void UpdateScoreHealth(std::size_t server);
+  void Transition(std::size_t server, Health to);
   void UpdateBrownout();
 
   sim::Environment& env_;
@@ -193,11 +169,10 @@ class Router {
   metrics::RouterCounters* counters_;
   metrics::MetricRegistry* registry_;
   metrics::IncidentLog* incident_log_ = nullptr;
-  std::vector<ServerState> servers_;
-  std::vector<ServerTransition> transitions_;
-  std::vector<sim::Duration> mttr_incidents_;
+  HealthTracker tracker_;
+  std::vector<Streak> streaks_;
+  std::vector<std::uint64_t> outstanding_;
   // Gray-failure state (all empty/zero when scoring is disabled).
-  std::vector<HealthScore> scores_;           // per server
   std::vector<sim::TimePoint> fault_onset_;   // valid iff onset_armed_[s]
   std::vector<bool> onset_armed_;
   std::vector<sim::Duration> detection_latencies_;

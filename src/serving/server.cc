@@ -340,8 +340,7 @@ sim::Task Experiment::RunRequest(std::size_t client_index,
       // duplicate on another usable replica for tail tolerance.
       std::shared_ptr<HedgeState> hedge;
       const bool hedge_on_bit = options_.failover.hedge_when_degraded &&
-                                health_->health(gpu_index) ==
-                                    DeviceHealth::kDegraded;
+                                health_->health(gpu_index) == Health::kDegraded;
       const bool hedge_on_score =
           options_.failover.hedge_below_score > 0.0 && health_->scoring() &&
           health_->score(static_cast<std::size_t>(gpu_index)) <

@@ -97,8 +97,8 @@ TEST(RouterTest, ConsecutiveProbeFailuresMarkServerDown) {
 
   transport.probe_ok = false;
   env.RunUntil(At(2.5));  // two failed probes per server
-  EXPECT_EQ(router.health(0), serving::ServerHealth::kDown);
-  EXPECT_EQ(router.health(1), serving::ServerHealth::kDown);
+  EXPECT_EQ(router.health(0), serving::Health::kDown);
+  EXPECT_EQ(router.health(1), serving::Health::kDown);
   EXPECT_EQ(router.Route(0), serving::Router::kNoServer);
   router.Stop();
   env.Run();
@@ -120,28 +120,28 @@ TEST(RouterTest, ProbeDuringRecoveringDoesNotReadmitEarly) {
 
   transport.probe_ok = false;
   env.RunUntil(At(2.5));
-  ASSERT_EQ(router.health(0), serving::ServerHealth::kDown);
+  ASSERT_EQ(router.health(0), serving::Health::kDown);
 
   transport.probe_ok = true;
   env.RunUntil(At(3.5));  // first success: down -> recovering
-  ASSERT_EQ(router.health(0), serving::ServerHealth::kRecovering);
+  ASSERT_EQ(router.health(0), serving::Health::kRecovering);
   EXPECT_FALSE(router.Routable(0));
   EXPECT_EQ(router.Route(0), serving::Router::kNoServer);
 
   env.RunUntil(At(4.5));  // second success lands during recovering
-  EXPECT_EQ(router.health(0), serving::ServerHealth::kRecovering)
+  EXPECT_EQ(router.health(0), serving::Health::kRecovering)
       << "a probe success during recovering must not readmit before the "
          "warm-up hand-shake completes";
   EXPECT_FALSE(router.Routable(0));
 
   env.RunUntil(At(6.0));  // third success completes the hand-shake
-  EXPECT_EQ(router.health(0), serving::ServerHealth::kHealthy);
+  EXPECT_EQ(router.health(0), serving::Health::kHealthy);
   EXPECT_TRUE(router.Routable(0));
 
   int recovering_to_healthy = 0;
   for (const auto& t : router.transitions()) {
-    if (t.server == 0 && t.from == serving::ServerHealth::kRecovering &&
-        t.to == serving::ServerHealth::kHealthy) {
+    if (t.target == 0 && t.from == serving::Health::kRecovering &&
+        t.to == serving::Health::kHealthy) {
       ++recovering_to_healthy;
     }
   }
@@ -165,16 +165,16 @@ TEST(RouterTest, RelapseDuringRecoveryKeepsOneIncident) {
 
   transport.probe_ok = false;
   env.RunUntil(At(1.5));
-  ASSERT_EQ(router.health(0), serving::ServerHealth::kDown);
+  ASSERT_EQ(router.health(0), serving::Health::kDown);
   transport.probe_ok = true;
   env.RunUntil(At(2.5));
-  ASSERT_EQ(router.health(0), serving::ServerHealth::kRecovering);
+  ASSERT_EQ(router.health(0), serving::Health::kRecovering);
   transport.probe_ok = false;  // relapse before the hand-shake completes
   env.RunUntil(At(3.5));
-  ASSERT_EQ(router.health(0), serving::ServerHealth::kDown);
+  ASSERT_EQ(router.health(0), serving::Health::kDown);
   transport.probe_ok = true;
   env.RunUntil(At(6.0));
-  ASSERT_EQ(router.health(0), serving::ServerHealth::kHealthy);
+  ASSERT_EQ(router.health(0), serving::Health::kHealthy);
   // One outage episode, one MTTR incident, spanning the relapse.
   EXPECT_EQ(router.mttr_incidents().size(), 1u);
   EXPECT_GT(router.mttr_incidents()[0], Duration::Millis(3));
@@ -196,7 +196,7 @@ TEST(RouterTest, StickyThenLeastLoadedRouting) {
   EXPECT_EQ(router.Route(0), 0u);
   // Home down: least-loaded routable server wins; ties break on index.
   for (int i = 0; i < 3; ++i) router.OnRequestError(0);
-  ASSERT_EQ(router.health(0), serving::ServerHealth::kDown);
+  ASSERT_EQ(router.health(0), serving::Health::kDown);
   router.OnRequestStart(1);
   EXPECT_EQ(router.Route(0), 2u);  // server 2 has 0 outstanding, 1 has 1
   router.OnRequestStart(2);

@@ -92,7 +92,7 @@ TEST(FailoverTest, DeviceLossFailsOverToSurvivingReplica) {
   // the final event-queue drain still runs to completion).
   ASSERT_NE(exp.health(), nullptr);
   EXPECT_EQ(exp.health()->stats(0).down_events, 1u);
-  EXPECT_EQ(exp.health()->health(1), serving::DeviceHealth::kHealthy);
+  EXPECT_EQ(exp.health()->health(1), serving::Health::kHealthy);
   for (const auto& r : results) {
     EXPECT_LT(r.finish_time, Duration::Seconds(100)) << r.name;
   }
@@ -134,19 +134,19 @@ TEST(FailoverTest, RecoveryReadmitsDeviceAfterOutage) {
   // MTTR covers the outage plus the recovery pipeline (driver re-init,
   // parameter reload, warm-up): strictly more than the raw outage.
   EXPECT_GT(exp.health()->Mttr(0), Duration::Millis(250));
-  EXPECT_EQ(exp.health()->health(0), serving::DeviceHealth::kHealthy);
+  EXPECT_EQ(exp.health()->health(0), serving::Health::kHealthy);
 
   // Readmission is observable in the transition log: kDown -> kRecovering
   // followed by kRecovering -> kHealthy for GPU 0.
   bool recovering = false, readmitted = false;
   for (const auto& t : exp.health()->transitions()) {
-    if (t.gpu != 0) continue;
-    if (t.from == serving::DeviceHealth::kDown &&
-        t.to == serving::DeviceHealth::kRecovering) {
+    if (t.target != 0) continue;
+    if (t.from == serving::Health::kDown &&
+        t.to == serving::Health::kRecovering) {
       recovering = true;
     }
-    if (recovering && t.from == serving::DeviceHealth::kRecovering &&
-        t.to == serving::DeviceHealth::kHealthy) {
+    if (recovering && t.from == serving::Health::kRecovering &&
+        t.to == serving::Health::kHealthy) {
       readmitted = true;
     }
   }
@@ -168,32 +168,32 @@ TEST(FailoverTest, ProbeDuringDeviceRecoveringDoesNotReadmitEarly) {
   mon.Start();
 
   env.RunUntil(At(2.5));
-  ASSERT_EQ(mon.health(0), serving::DeviceHealth::kHealthy);
+  ASSERT_EQ(mon.health(0), serving::Health::kHealthy);
   gpu.Reset(Duration::Millis(20));  // outage [2.5, 22.5)
-  ASSERT_EQ(mon.health(0), serving::DeviceHealth::kDown);
+  ASSERT_EQ(mon.health(0), serving::Health::kDown);
 
   // Outage ends at 22.5 but the driver re-init runs until 42.5: probes in
   // between succeed at the device yet the monitor must stay kDown.
   env.RunUntil(At(30));
-  EXPECT_EQ(mon.health(0), serving::DeviceHealth::kDown);
+  EXPECT_EQ(mon.health(0), serving::Health::kDown);
   EXPECT_FALSE(mon.Usable(0));
 
   env.RunUntil(At(43));
-  ASSERT_EQ(mon.health(0), serving::DeviceHealth::kRecovering);
+  ASSERT_EQ(mon.health(0), serving::Health::kRecovering);
   EXPECT_FALSE(mon.Usable(0));
   env.RunUntil(At(44.5));
   // Heartbeats landed every 1ms during recovery; readmission waits for the
   // pipeline (warm-up probes + 5ms warm-up), not the first probe success.
-  EXPECT_EQ(mon.health(0), serving::DeviceHealth::kRecovering);
+  EXPECT_EQ(mon.health(0), serving::Health::kRecovering);
   EXPECT_FALSE(mon.Usable(0));
 
   env.RunUntil(At(60));
-  EXPECT_EQ(mon.health(0), serving::DeviceHealth::kHealthy);
+  EXPECT_EQ(mon.health(0), serving::Health::kHealthy);
   EXPECT_TRUE(mon.Usable(0));
   int recovering_to_healthy = 0;
   for (const auto& t : mon.transitions()) {
-    if (t.gpu == 0 && t.from == serving::DeviceHealth::kRecovering &&
-        t.to == serving::DeviceHealth::kHealthy) {
+    if (t.target == 0 && t.from == serving::Health::kRecovering &&
+        t.to == serving::Health::kHealthy) {
       ++recovering_to_healthy;
     }
   }
@@ -202,6 +202,57 @@ TEST(FailoverTest, ProbeDuringDeviceRecoveringDoesNotReadmitEarly) {
   ASSERT_EQ(mon.stats(0).mttr_incidents.size(), 1u);
   // The incident covers outage + re-init + warm-up, not just the outage.
   EXPECT_GT(mon.stats(0).mttr_incidents[0], Duration::Millis(20));
+  mon.Stop();
+  env.Run();
+}
+
+// The device twin of RouterTest.RelapseDuringRecoveryKeepsOneIncident: a
+// second reset lands while the warm-up probes of the first recovery are in
+// flight. The relapse re-enters kDown inside the same outage episode, so
+// the device is downed and readmitted once, and its one MTTR incident runs
+// from the first down edge to the final readmission.
+TEST(FailoverTest, DeviceRelapseDuringRecoveryKeepsOneIncident) {
+  sim::Environment env;
+  gpusim::Gpu gpu(env, gpusim::Gpu::Options{});
+  serving::HealthMonitorOptions hopts;
+  hopts.probe_interval = Duration::Millis(10);
+  hopts.probe_work = Duration::Millis(1);  // ~1ms per warm-up probe
+  fault::RecoveryOptions rec;  // 20ms re-init, 5ms warm-up
+  rec.warmup_probes = 3;
+  serving::HealthMonitor mon(env, {&gpu}, hopts, rec, /*observer=*/nullptr);
+  mon.Start();
+
+  env.RunUntil(At(2.5));
+  gpu.Reset(Duration::Millis(20));  // outage [2.5, 22.5), re-init to 42.5
+  ASSERT_EQ(mon.health(0), serving::Health::kDown);
+  env.RunUntil(At(43));  // inside the warm-up probes, [42.5, ~45.5)
+  ASSERT_EQ(mon.health(0), serving::Health::kRecovering);
+  gpu.Reset(Duration::Millis(20));  // relapse before readmission
+  EXPECT_EQ(mon.health(0), serving::Health::kDown);
+  env.RunUntil(At(150));
+  ASSERT_EQ(mon.health(0), serving::Health::kHealthy);
+
+  const auto stats = mon.stats(0);
+  EXPECT_EQ(stats.down_events, 1u);
+  EXPECT_EQ(stats.readmissions, 1u);
+  ASSERT_EQ(stats.mttr_incidents.size(), 1u);
+  sim::TimePoint first_down;
+  sim::TimePoint readmitted;
+  int relapses = 0;
+  for (const auto& t : mon.transitions()) {
+    if (t.from == serving::Health::kHealthy && t.to == serving::Health::kDown) {
+      first_down = t.at;
+    }
+    if (t.from == serving::Health::kRecovering) {
+      if (t.to == serving::Health::kDown) ++relapses;
+      if (t.to == serving::Health::kHealthy) readmitted = t.at;
+    }
+  }
+  EXPECT_EQ(relapses, 1);
+  EXPECT_EQ(first_down, At(2.5));
+  // Both outages and both re-inits: far longer than one recovery (~45ms).
+  EXPECT_EQ(stats.mttr_incidents[0], readmitted - first_down);
+  EXPECT_GT(stats.mttr_incidents[0], Duration::Millis(80));
   mon.Stop();
   env.Run();
 }
@@ -223,7 +274,7 @@ TEST(FailoverTest, HangEscalationFailsOverAndRecoversAtHangEnd) {
   EXPECT_EQ(c.device_down_events, 1u);
   EXPECT_GE(c.requests_failed_over, 1u);
   EXPECT_EQ(exp.health()->stats(0).readmissions, 1u);
-  EXPECT_EQ(exp.health()->health(0), serving::DeviceHealth::kHealthy);
+  EXPECT_EQ(exp.health()->health(0), serving::Health::kHealthy);
 }
 
 // ---------------------------------------------------------------------------

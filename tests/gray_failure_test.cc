@@ -175,12 +175,12 @@ std::vector<serving::ClientSpec> SparseWorkload(int requests) {
                               .mean_interarrival = Duration::Millis(25)}};
 }
 
+// Edges `from -> to` of one target (a device or a server) in a health log.
 int CountEdges(const std::vector<serving::HealthTransition>& log,
-               std::size_t gpu, serving::DeviceHealth from,
-               serving::DeviceHealth to) {
+               std::size_t target, serving::Health from, serving::Health to) {
   int n = 0;
   for (const auto& t : log) {
-    if (t.gpu == gpu && t.from == from && t.to == to) ++n;
+    if (t.target == target && t.from == from && t.to == to) ++n;
   }
   return n;
 }
@@ -200,14 +200,12 @@ TEST(GrayFailureTest, MonitorScoresCapacityFaultDegradedThenRecovers) {
   // edge for the whole episode, even though dozens of probes straddle the
   // score thresholds.
   EXPECT_EQ(CountEdges(exp.health()->transitions(), 0,
-                       serving::DeviceHealth::kHealthy,
-                       serving::DeviceHealth::kDegraded),
+                       serving::Health::kHealthy, serving::Health::kDegraded),
             1);
   EXPECT_EQ(CountEdges(exp.health()->transitions(), 0,
-                       serving::DeviceHealth::kDegraded,
-                       serving::DeviceHealth::kHealthy),
+                       serving::Health::kDegraded, serving::Health::kHealthy),
             1);
-  EXPECT_EQ(exp.health()->health(0), serving::DeviceHealth::kHealthy);
+  EXPECT_EQ(exp.health()->health(0), serving::Health::kHealthy);
   EXPECT_GT(exp.health()->score(0), 0.85);
   // The gray window never killed the device: no down events, no MTTR.
   EXPECT_EQ(exp.health()->stats(0).down_events, 0u);
@@ -241,10 +239,9 @@ TEST(GrayFailureTest, EscalationUnderSustainedFaultYieldsOneMttrIncident) {
   EXPECT_EQ(stats.mttr_incidents.size(), 1u) << "one episode, one incident";
   // The degraded -> down edge exists in the log (score first, then reset).
   EXPECT_EQ(CountEdges(exp.health()->transitions(), 0,
-                       serving::DeviceHealth::kDegraded,
-                       serving::DeviceHealth::kDown),
+                       serving::Health::kDegraded, serving::Health::kDown),
             1);
-  EXPECT_EQ(exp.health()->health(0), serving::DeviceHealth::kHealthy);
+  EXPECT_EQ(exp.health()->health(0), serving::Health::kHealthy);
   for (const auto& r : results) EXPECT_EQ(r.batches_completed, 40) << r.name;
 }
 
@@ -271,8 +268,7 @@ TEST(GrayFailureTest, ScoreTriggeredHedgingFiresBeforeDegradedBit) {
 
   ASSERT_NE(exp.health(), nullptr);
   EXPECT_EQ(CountEdges(exp.health()->transitions(), 0,
-                       serving::DeviceHealth::kHealthy,
-                       serving::DeviceHealth::kDegraded),
+                       serving::Health::kHealthy, serving::Health::kDegraded),
             0)
       << "thresholds were meant to keep the device score-healthy";
   EXPECT_GE(exp.counters().hedges_launched, 1u);
@@ -280,16 +276,6 @@ TEST(GrayFailureTest, ScoreTriggeredHedgingFiresBeforeDegradedBit) {
 
 // ---------------------------------------------------------------------------
 // Detection and response at the cluster router
-
-int CountServerEdges(const std::vector<serving::ServerTransition>& log,
-                     std::size_t server, serving::ServerHealth from,
-                     serving::ServerHealth to) {
-  int n = 0;
-  for (const auto& t : log) {
-    if (t.server == server && t.from == from && t.to == to) ++n;
-  }
-  return n;
-}
 
 serving::ClusterClientSpec PoissonClient(double rps, int requests,
                                          int priority = 0) {
@@ -319,13 +305,11 @@ TEST(GrayFailureTest, RouterDetectsCapacityLossWithLatencyMetric) {
   EXPECT_GE(cluster.counters().score_degrade_events, 1u);
   EXPECT_GE(cluster.counters().score_recover_events, 1u);
   // Hysteresis: the 250ms window produces exactly one degrade episode.
-  EXPECT_EQ(CountServerEdges(cluster.router().transitions(), 0,
-                             serving::ServerHealth::kHealthy,
-                             serving::ServerHealth::kDegraded),
+  EXPECT_EQ(CountEdges(cluster.router().transitions(), 0,
+                       serving::Health::kHealthy, serving::Health::kDegraded),
             1);
-  EXPECT_EQ(CountServerEdges(cluster.router().transitions(), 0,
-                             serving::ServerHealth::kDegraded,
-                             serving::ServerHealth::kHealthy),
+  EXPECT_EQ(CountEdges(cluster.router().transitions(), 0,
+                       serving::Health::kDegraded, serving::Health::kHealthy),
             1);
   // Detection latency: armed at fault onset, consumed at the degrade edge.
   ASSERT_EQ(cluster.router().detection_latencies().size(), 1u);
