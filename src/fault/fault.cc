@@ -23,6 +23,11 @@ const char* ToString(FaultKind kind) {
   return "unknown";
 }
 
+sim::Duration RecoveryOptions::TransferCost(double mb) const {
+  if (mb <= 0.0 || pcie_gbps <= 0.0) return sim::Duration::Zero();
+  return sim::Duration::Seconds(mb / 1024.0 / pcie_gbps);
+}
+
 FaultPlan& FaultPlan::KernelFailure(sim::TimePoint at, gpusim::StreamId stream,
                                     std::size_t gpu_index) {
   events_.push_back(FaultEvent{.kind = FaultKind::kKernelFailure,

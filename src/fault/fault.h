@@ -62,6 +62,10 @@ struct RecoveryOptions {
   sim::Duration warmup = sim::Duration::Millis(5);
   // Heartbeat probes that must succeed during warm-up before readmission.
   int warmup_probes = 2;
+
+  // Time to stream `mb` of parameters host-to-device; zero when either is
+  // non-positive. Instantiating a replica costs `warmup` on top of this.
+  sim::Duration TransferCost(double mb) const;
 };
 
 // A declarative schedule of faults on the virtual clock. Build one with the

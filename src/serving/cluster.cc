@@ -320,11 +320,8 @@ sim::Task Cluster::EnsureTenant(std::size_t server, std::size_t client,
   // pricing as in-server lazy replica instantiation.
   const models::ModelSpec& mspec = models::GetModel(spec.model);
   const fault::RecoveryOptions& rec = options_.server.failover.recovery;
-  sim::Duration cost = rec.warmup;
-  if (rec.pcie_gbps > 0.0) {
-    cost += sim::Duration::Seconds(static_cast<double>(mspec.params_mb) /
-                                   1024.0 / rec.pcie_gbps);
-  }
+  const sim::Duration cost =
+      rec.warmup + rec.TransferCost(static_cast<double>(mspec.params_mb));
   if (cost > sim::Duration::Zero()) co_await senv.Delay(cost);
   // A concurrent leg of the same client may have finished the setup while
   // we streamed; re-check before instantiating.

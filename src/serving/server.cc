@@ -25,6 +25,15 @@ Experiment::Experiment(ServerOptions options, sim::Environment* env)
   if (options_.num_gpus < 1) {
     throw std::invalid_argument("num_gpus must be >= 1");
   }
+  // A hedge races a duplicate on a second replica, which only the failover
+  // placer can route to.
+  const FailoverOptions& fo = options_.failover;
+  if (!fo.enabled && (fo.hedge_when_degraded || fo.hedge_below_score > 0.0)) {
+    throw std::invalid_argument(
+        std::string(fo.hedge_when_degraded ? "failover.hedge_when_degraded"
+                                           : "failover.hedge_below_score") +
+        " requires failover.enabled (set failover.enabled = true)");
+  }
   // Derive decorrelated seeds for each device and executor.
   sim::Rng master(options_.seed);
   for (int i = 0; i < options_.num_gpus; ++i) {
@@ -80,19 +89,30 @@ graph::JobContext& Experiment::CreateJob(const std::string& model,
                                          int max_batch,
                                          std::size_t gpu_index) {
   LoadModel(model, gpu_index);
-  const models::ModelSpec& mspec = models::GetModel(model);
-  auto ctx = std::make_unique<graph::JobContext>();
-  ctx->job = next_job_id_++;
-  ctx->client_name = model + "#" + std::to_string(ctx->job);
-  ctx->model_key = models::ModelKey(model, max_batch);
-  ctx->batch = max_batch;
-  ctx->gpu_index = static_cast<int>(gpu_index);
+  return NewContext(ClientSpec{.model = model, .batch = max_batch}, gpu_index,
+                    std::to_string(next_job_id_));
+}
+
+graph::JobContext& Experiment::NewContext(const ClientSpec& spec,
+                                          std::size_t gpu,
+                                          const std::string& tag) {
+  graph::JobContext& ctx =
+      *contexts_.emplace_back(std::make_unique<graph::JobContext>());
+  ctx.job = next_job_id_++;
+  ctx.client_name = spec.model + "#" + tag;
+  ctx.model_key = models::ModelKey(spec.model, spec.batch);
+  ctx.batch = spec.batch;
+  ctx.weight = spec.weight;
+  ctx.priority = spec.priority;
+  ctx.min_share = spec.min_share;
+  ctx.gpu_index = static_cast<int>(gpu);
   for (int s = 0; s < options_.streams_per_job; ++s) {
-    ctx->streams.push_back(gpus_.at(gpu_index)->CreateStream());
+    ctx.streams.push_back(gpus_.at(gpu)->CreateStream());
   }
-  gpus_.at(gpu_index)->AllocateMemory(ctx->job, mspec.ClientMemoryMb(max_batch));
-  contexts_.push_back(std::move(ctx));
-  return *contexts_.back();
+  // Per-client activation memory for in-flight batches (§4.3).
+  gpus_.at(gpu)->AllocateMemory(
+      ctx.job, models::GetModel(spec.model).ClientMemoryMb(spec.batch));
+  return ctx;
 }
 
 void Experiment::FinishManualRun() {
@@ -102,10 +122,9 @@ void Experiment::FinishManualRun() {
   env_.Run();
 }
 
-sim::Task Experiment::ClientProc(std::size_t client_index,
-                                 graph::JobContext& ctx, const graph::Graph& g,
-                                 ClientSpec spec, std::uint64_t seed,
+sim::Task Experiment::ClientProc(std::size_t client, std::uint64_t seed,
                                  ClientResult& out) {
+  const ClientSpec& spec = tenants_[client].spec;
   sim::Rng rng(seed);
   const bool open_loop = spec.mean_interarrival > sim::Duration::Zero();
   // Handle resolved once per client; Observe on the request path is then
@@ -141,8 +160,7 @@ sim::Task Experiment::ClientProc(std::size_t client_index,
       // flight queued at the client; that wait is pre-admission time.
       pa->Charge(metrics::Phase::kAdmission, env_.Now());
     }
-    co_await RunRequest(client_index, ctx, g, spec, rng, arrival,
-                        out.gpu_index, status, pa);
+    co_await ServeTenantRequest(client, rng, arrival, status, pa);
     out.request_latency_ms.push_back((env_.Now() - arrival).millis());
     out.request_status.push_back(status);
     if (phases != nullptr) {
@@ -159,24 +177,10 @@ sim::Task Experiment::ClientProc(std::size_t client_index,
     }
   }
   out.finish_time = env_.Now() - sim::TimePoint();
-  if (health_ != nullptr) {
-    // Under failover the client's work may have spanned devices: sum the
-    // GPU duration of every context it ran on.
-    out.gpu_duration = sim::Duration::Zero();
-    for (const auto& [key, c] : client_gpu_ctx_) {
-      if (key.first == client_index) {
-        out.gpu_duration += gpus_[key.second]->JobGpuDuration(c->job);
-        // The client is done: fold its meter into the retired table so live
-        // meter count stays bounded no matter how many jobs a run admits.
-        gpus_[key.second]->RetireJob(c->job);
-      }
-    }
-    if (--remaining_clients_ == 0) health_->Stop();
-  } else {
-    out.gpu_duration = gpus_[out.gpu_index]->JobGpuDuration(ctx.job);
-    gpus_[out.gpu_index]->RetireJob(ctx.job);
-  }
-  if (clients_running_ > 0) --clients_running_;  // sampler stop condition
+  out.gpu_duration = RetireTenant(client);
+  // The last client out stops the health monitor's probe loops so the event
+  // queue can drain; the sampler stops on the same count.
+  if (--clients_running_ == 0 && health_ != nullptr) health_->Stop();
 }
 
 CircuitBreaker* Experiment::BreakerFor(const std::string& model) {
@@ -188,13 +192,14 @@ CircuitBreaker* Experiment::BreakerFor(const std::string& model) {
   return slot.get();
 }
 
-sim::Task Experiment::RunRequest(std::size_t client_index,
-                                 graph::JobContext& primary_ctx,
-                                 const graph::Graph& g, const ClientSpec& spec,
-                                 sim::Rng& rng, sim::TimePoint arrival,
-                                 std::size_t primary_gpu,
-                                 RequestStatus& status,
-                                 metrics::PhaseAccount* pa) {
+sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
+                                         sim::TimePoint arrival,
+                                         RequestStatus& status,
+                                         metrics::PhaseAccount* pa) {
+  // Tenants live in a deque, so this reference survives AddTenant calls
+  // made while the request is suspended.
+  const Tenant& t = tenants_.at(tenant);
+  const ClientSpec& spec = t.spec;
   const DegradationOptions& deg = options_.degradation;
   const bool has_deadline = spec.deadline > sim::Duration::Zero();
   const sim::TimePoint deadline = arrival + spec.deadline;
@@ -207,8 +212,8 @@ sim::Task Experiment::RunRequest(std::size_t client_index,
   // walk identical state.
   metrics::Tracer* const tracer = options_.executor.tracer;
   const std::uint64_t rid = ++next_request_id_;
-  int flow_hops = 0;                              // executed admissions so far
-  std::int64_t flow_track = primary_ctx.job;      // track of the winning leg
+  int flow_hops = 0;                     // executed admissions so far
+  std::int64_t flow_track = t.ctx->job;  // track of the winning leg
   // Why the *next* admission hop happens (failover / retry / reroute);
   // rendered as the kStep's args.reason so a trace shows why a leg ended
   // and another began instead of a bare arrow.
@@ -234,25 +239,29 @@ sim::Task Experiment::RunRequest(std::size_t client_index,
       if (pa != nullptr) pa->Charge(metrics::Phase::kAdmission, env_.Now());
       co_return;
     }
-    // Admission control: shed instead of stalling when the pool is already
-    // saturated (the paper's §4.3 failure mode becomes a 503, not a hang).
-    if (deg.admission_watermark > 0.0) {
-      const double occupancy =
-          static_cast<double>(pool_->busy_workers() + pool_->queued()) /
-          static_cast<double>(pool_->num_threads());
-      if (occupancy >= deg.admission_watermark) {
-        ++counters_.requests_shed;
-        ++counters_.requests_rejected;
-        status = RequestStatus::kRejected;
-        end_flow("rejected");
-        if (pa != nullptr) pa->Charge(metrics::Phase::kAdmission, env_.Now());
-        co_await env_.Delay(deg.reject_backoff);
-        if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-        co_return;
+    // Admission: the pool watermark, the breaker, then (under failover)
+    // per-request placement over usable replicas; the legacy path keeps the
+    // static round-robin pin. Each refusal bumps its own counter and leaves
+    // through the one rejection exit below.
+    std::size_t gpu_index = t.primary_gpu;
+    std::uint64_t* rejected_by = nullptr;
+    if (deg.admission_watermark > 0.0 &&
+        PoolOccupancy() >= deg.admission_watermark) {
+      // Shed instead of stalling when the pool is already saturated (the
+      // paper's §4.3 failure mode becomes a 503, not a hang).
+      rejected_by = &counters_.requests_shed;
+    } else if (breaker != nullptr && !breaker->AllowRequest(env_.Now())) {
+      rejected_by = &counters_.breaker_rejections;
+    } else if (failover) {
+      gpu_index = placer_->Route(spec.model, t.primary_gpu);
+      // Every device is down: terminate promptly as a rejection instead of
+      // stalling until deadlines (or ServerStalled) fire.
+      if (gpu_index == Placer::kNoDevice) {
+        rejected_by = &counters_.requests_rejected_no_device;
       }
     }
-    if (breaker != nullptr && !breaker->AllowRequest(env_.Now())) {
-      ++counters_.breaker_rejections;
+    if (rejected_by != nullptr) {
+      ++*rejected_by;
       ++counters_.requests_rejected;
       status = RequestStatus::kRejected;
       end_flow("rejected");
@@ -262,29 +271,13 @@ sim::Task Experiment::RunRequest(std::size_t client_index,
       co_return;
     }
 
-    // Route this attempt. Legacy: the static round-robin pin. Failover:
-    // per-request placement over usable replicas.
-    std::size_t gpu_index = primary_gpu;
-    graph::JobContext* ctx = &primary_ctx;
+    graph::JobContext* ctx = t.ctx;
     if (failover) {
-      gpu_index = placer_->Route(spec.model, primary_gpu);
-      if (gpu_index == Placer::kNoDevice) {
-        // Every device is down: terminate promptly as a rejection instead
-        // of stalling until deadlines (or ServerStalled) fire.
-        ++counters_.requests_rejected_no_device;
-        ++counters_.requests_rejected;
-        status = RequestStatus::kRejected;
-        end_flow("rejected");
-        if (pa != nullptr) pa->Charge(metrics::Phase::kAdmission, env_.Now());
-        co_await env_.Delay(deg.reject_backoff);
-        if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
-        co_return;
-      }
       bool replica_ok = true;
       if (pa != nullptr) {
         pa->Charge(metrics::Phase::kPlacerDecision, env_.Now());
       }
-      co_await EnsureReplica(client_index, spec, gpu_index, replica_ok);
+      co_await EnsureReplica(tenant, gpu_index, replica_ok);
       if (pa != nullptr) {
         // Reload/warm-up wait, unless this admission is a failover re-entry
         // — then the whole leg is blamed on the failover.
@@ -312,7 +305,7 @@ sim::Task Experiment::RunRequest(std::size_t client_index,
         if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
         continue;
       }
-      ctx = ClientContext(client_index, gpu_index);
+      ctx = ClientContext(tenant, gpu_index);
       if (!health_->Usable(gpu_index)) {
         hop_detail = "reroute";
         continue;  // went down while loading
@@ -337,31 +330,30 @@ sim::Task Experiment::RunRequest(std::size_t client_index,
       failed = true;
     } else {
       // Hedge: the routed device is impaired but not down — race a
-      // duplicate on another usable replica for tail tolerance.
-      std::shared_ptr<HedgeState> hedge;
-      const bool hedge_on_bit = options_.failover.hedge_when_degraded &&
+      // duplicate on another usable replica for tail tolerance. (Hedge
+      // options require failover, so health_ is set whenever they are.)
+      const FailoverOptions& fo = options_.failover;
+      const bool hedge_on_bit = fo.hedge_when_degraded &&
                                 health_->health(gpu_index) == Health::kDegraded;
-      const bool hedge_on_score =
-          options_.failover.hedge_below_score > 0.0 && health_->scoring() &&
-          health_->score(static_cast<std::size_t>(gpu_index)) <
-              options_.failover.hedge_below_score;
-      if (failover && (hedge_on_bit || hedge_on_score)) {
+      const bool hedge_on_score = fo.hedge_below_score > 0.0 &&
+                                  health_->scoring() &&
+                                  health_->score(gpu_index) <
+                                      fo.hedge_below_score;
+      std::shared_ptr<HedgeState> hedge;
+      if (hedge_on_bit || hedge_on_score) {
         const std::size_t alt =
-            placer_->Route(spec.model, primary_gpu, gpu_index);
+            placer_->Route(spec.model, t.primary_gpu, gpu_index);
         if (alt != Placer::kNoDevice && alt != gpu_index) {
           hedge = std::make_shared<HedgeState>(env_);
           hedge->request_id = rid;
           hedge->attempt = attempt;
           ++counters_.hedges_launched;
-          env_.Spawn(HedgeProc(client_index, spec, g, alt, hedge),
+          env_.Spawn(HedgeProc(tenant, alt, hedge),
                      ctx->client_name + "/hedge");
         }
       }
-      // Stamp the causal identity for this admission; the executor renders
-      // it as an attempt span, and the flow hop below (same instant as the
-      // span start) binds to it in Perfetto.
-      ctx->trace = metrics::TraceContext{rid, attempt, false};
-      ctx->gpu_index = static_cast<int>(gpu_index);
+      // The flow hop below (same instant as the attempt span the leg's run
+      // opens) binds to that span in Perfetto.
       if (tracer != nullptr) {
         tracer->AddInstantNumbered("placer", "route-gpu-",
                                    static_cast<std::int64_t>(gpu_index),
@@ -375,32 +367,12 @@ sim::Task Experiment::RunRequest(std::size_t client_index,
       hop_detail = nullptr;
       flow_track = ctx->job;
       auto token = std::make_shared<graph::CancelToken>();
-      ctx->cancel = token.get();
       if (has_deadline) {
         env_.Spawn(DeadlineWatchdog(token, ctx, gpu_index, deadline),
                    ctx->client_name + "/watchdog");
       }
-      if (failover) {
-        placer_->OnRequestStart(gpu_index);
-        RegisterInFlight(gpu_index, token.get(), ctx);
-      }
-      const sim::Duration gpu_before =
-          pa != nullptr ? gpus_[gpu_index]->JobGpuDuration(ctx->job)
-                        : sim::Duration::Zero();
-      co_await executor(gpu_index).RunOnce(*ctx, g);
-      if (pa != nullptr) {
-        // Split the run interval into measured GPU residency (compute) and
-        // everything else — pool queueing, scheduler token waits (queue).
-        pa->SplitCharge(metrics::Phase::kGpuCompute,
-                        gpus_[gpu_index]->JobGpuDuration(ctx->job) - gpu_before,
-                        metrics::Phase::kGpuQueue, env_.Now());
-      }
-      token->finished = true;
-      ctx->cancel = nullptr;
-      if (failover) {
-        placer_->OnRequestEnd(gpu_index);
-        DeregisterInFlight(gpu_index, token.get());
-      }
+      co_await RunLeg(*ctx, *t.graph, gpu_index, *token,
+                      metrics::TraceContext{rid, attempt, false}, pa);
       if (token->cancelled) {
         failed = true;
         reason = token->reason;
@@ -410,13 +382,8 @@ sim::Task Experiment::RunRequest(std::size_t client_index,
         if (!failed) {
           // Primary won; reel the hedge in (it drains as a no-op).
           if (!hedge->done && hedge->token != nullptr) {
-            hedge->token->Cancel(graph::CancelReason::kFailover);
-            if (!hedge->token->hooks_notified) {
-              hedge->token->hooks_notified = true;
-              if (hooks_[hedge->gpu] != nullptr) {
-                hooks_[hedge->gpu]->CancelRun(*hedge->ctx);
-              }
-            }
+            CancelAndNotify(*hedge->token, graph::CancelReason::kFailover,
+                            *hedge->ctx, hedge->gpu);
           }
         } else {
           // Primary failed: the hedge verdict decides the request.
@@ -508,15 +475,19 @@ sim::Task Experiment::DeadlineWatchdog(
   // `finished` is set by the issuer the moment RunOnce returns, so a stale
   // watchdog (its request long done, the context reused) is a no-op.
   if (token->finished || token->cancelled) co_return;
-  token->Cancel(graph::CancelReason::kDeadline);
+  CancelAndNotify(*token, graph::CancelReason::kDeadline, *ctx, gpu_index);
+}
+
+void Experiment::CancelAndNotify(graph::CancelToken& token,
+                                 graph::CancelReason reason,
+                                 graph::JobContext& ctx, std::size_t gpu) {
+  token.Cancel(reason);
   // The run may be suspended waiting for the scheduler token with no node
   // boundary coming up; notify the hooks directly so the gang is woken,
   // deregistered, and its pool threads released.
-  if (!token->hooks_notified) {
-    token->hooks_notified = true;
-    graph::SchedulingHooks* hooks = hooks_.at(gpu_index);
-    if (hooks != nullptr) hooks->CancelRun(*ctx);
-  }
+  if (token.hooks_notified) return;
+  token.hooks_notified = true;
+  if (hooks_[gpu] != nullptr) hooks_[gpu]->CancelRun(ctx);
 }
 
 void Experiment::OnDeviceDown(std::size_t gpu) {
@@ -526,11 +497,7 @@ void Experiment::OnDeviceDown(std::size_t gpu) {
   // each victim re-admits to a surviving replica without touching its
   // retry budget.
   for (const InFlight& f : inflight_[gpu]) {
-    f.token->Cancel(graph::CancelReason::kFailover);
-    if (!f.token->hooks_notified) {
-      f.token->hooks_notified = true;
-      if (hooks_[gpu] != nullptr) hooks_[gpu]->CancelRun(*f.ctx);
-    }
+    CancelAndNotify(*f.token, graph::CancelReason::kFailover, *f.ctx, gpu);
     ++counters_.failover_cancellations;
     // Release gang threads stuck in uninterruptible kernel awaits (queued
     // behind a wedged channel): abort the job's streams so the waits
@@ -551,27 +518,22 @@ sim::Duration Experiment::ParamsReloadCost(std::size_t gpu) const {
   for (const auto& [dev, model] : params_resident_) {
     if (dev == gpu) mb += static_cast<double>(models::GetModel(model).params_mb);
   }
-  const double gbps = options_.failover.recovery.pcie_gbps;
-  if (mb <= 0.0 || gbps <= 0.0) return sim::Duration::Zero();
-  return sim::Duration::Seconds(mb / 1024.0 / gbps);
+  return options_.failover.recovery.TransferCost(mb);
 }
 
-sim::Task Experiment::EnsureReplica(std::size_t client_index,
-                                    const ClientSpec& spec, std::size_t gpu,
+sim::Task Experiment::EnsureReplica(std::size_t tenant, std::size_t gpu,
                                     bool& ok) {
+  const ClientSpec& spec = tenants_[tenant].spec;
   ok = true;
   while (placer_->replica_state(gpu, spec.model) !=
          Placer::ReplicaState::kReady) {
     if (placer_->BeginLoad(gpu, spec.model)) {
       // First arrival instantiates the replica: parameters stream over
       // PCIe and the fresh replica warms up before taking traffic.
-      const models::ModelSpec& mspec = models::GetModel(spec.model);
       const fault::RecoveryOptions& rec = options_.failover.recovery;
-      sim::Duration cost = rec.warmup;
-      if (rec.pcie_gbps > 0.0) {
-        cost += sim::Duration::Seconds(
-            static_cast<double>(mspec.params_mb) / 1024.0 / rec.pcie_gbps);
-      }
+      const sim::Duration cost =
+          rec.warmup + rec.TransferCost(static_cast<double>(
+                           models::GetModel(spec.model).params_mb));
       if (cost > sim::Duration::Zero()) co_await env_.Delay(cost);
       try {
         LoadModel(spec.model, gpu);
@@ -591,40 +553,21 @@ sim::Task Experiment::EnsureReplica(std::size_t client_index,
       co_await placer_->AwaitReady(gpu, spec.model);
     }
   }
-  if (ClientContext(client_index, gpu) == nullptr) {
-    const models::ModelSpec& mspec = models::GetModel(spec.model);
-    auto ctx = std::make_unique<graph::JobContext>();
-    ctx->job = next_job_id_++;
-    ctx->client_name = spec.model + "#" + std::to_string(client_index) +
-                       "@gpu" + std::to_string(gpu);
-    ctx->model_key = models::ModelKey(spec.model, spec.batch);
-    ctx->batch = spec.batch;
-    ctx->weight = spec.weight;
-    ctx->priority = spec.priority;
-    ctx->min_share = spec.min_share;
-    ctx->gpu_index = static_cast<int>(gpu);
-    for (int s = 0; s < options_.streams_per_job; ++s) {
-      ctx->streams.push_back(gpus_[gpu]->CreateStream());
-    }
-    try {
-      gpus_[gpu]->AllocateMemory(ctx->job, mspec.ClientMemoryMb(spec.batch));
-    } catch (const gpusim::TransientAllocFailure&) {
-      // Streams are cheap to leave behind; report a retryable transient.
-      ok = false;
-      contexts_.push_back(std::move(ctx));
-      co_return;
-    }
-    client_gpu_ctx_[{client_index, gpu}] = ctx.get();
-    contexts_.push_back(std::move(ctx));
+  if (ClientContext(tenant, gpu) != nullptr) co_return;
+  try {
+    graph::JobContext& ctx = NewContext(
+        spec, gpu, std::to_string(tenant) + "@gpu" + std::to_string(gpu));
+    client_gpu_ctx_[{tenant, gpu}] = &ctx;
+  } catch (const gpusim::TransientAllocFailure&) {
+    // The half-built context stays owned but unindexed; report a retryable
+    // transient.
+    ok = false;
   }
 }
 
-sim::Task Experiment::HedgeProc(std::size_t client_index,
-                                const ClientSpec& spec, const graph::Graph& g,
-                                std::size_t gpu,
+sim::Task Experiment::HedgeProc(std::size_t tenant, std::size_t gpu,
                                 std::shared_ptr<HedgeState> st) {
   auto skip = [&] {
-    st->skipped = true;
     st->done = true;
     st->cv.NotifyAll();
   };
@@ -636,8 +579,8 @@ sim::Task Experiment::HedgeProc(std::size_t client_index,
     co_return;
   }
   bool replica_ok = true;
-  co_await EnsureReplica(client_index, spec, gpu, replica_ok);
-  graph::JobContext* ctx = ClientContext(client_index, gpu);
+  co_await EnsureReplica(tenant, gpu, replica_ok);
+  graph::JobContext* ctx = ClientContext(tenant, gpu);
   if (!replica_ok || ctx == nullptr || ctx->cancel != nullptr ||
       st->primary_done || !health_->Usable(gpu)) {
     skip();
@@ -645,34 +588,59 @@ sim::Task Experiment::HedgeProc(std::size_t client_index,
   }
   // The hedge is one more admission of the same request: same flow id,
   // `hedge` flagged so the attempt span is labeled as the speculative leg.
-  ctx->trace = metrics::TraceContext{st->request_id, st->attempt, true};
-  ctx->gpu_index = static_cast<int>(gpu);
   if (metrics::Tracer* const tracer = options_.executor.tracer;
       tracer != nullptr && st->request_id != 0) {
     tracer->AddFlow(metrics::Tracer::FlowPhase::kStep, "request", "req-",
                     st->request_id, ctx->job, env_.Now(), "hedge");
   }
-  auto token = std::make_shared<graph::CancelToken>();
-  ctx->cancel = token.get();
-  st->token = token.get();
+  graph::CancelToken token;
+  st->token = &token;
   st->ctx = ctx;
   st->gpu = gpu;
-  placer_->OnRequestStart(gpu);
-  RegisterInFlight(gpu, token.get(), ctx);
-  co_await executor(gpu).RunOnce(*ctx, g);
-  token->finished = true;
-  ctx->cancel = nullptr;
-  placer_->OnRequestEnd(gpu);
-  DeregisterInFlight(gpu, token.get());
+  co_await RunLeg(*ctx, *tenants_[tenant].graph, gpu, token,
+                  metrics::TraceContext{st->request_id, st->attempt, true},
+                  nullptr);
   st->token = nullptr;
-  st->won = !token->cancelled;
+  st->won = !token.cancelled;
   st->done = true;
   st->cv.NotifyAll();
 }
 
-graph::JobContext* Experiment::ClientContext(std::size_t client_index,
+sim::Task Experiment::RunLeg(graph::JobContext& ctx, const graph::Graph& g,
+                             std::size_t gpu, graph::CancelToken& token,
+                             metrics::TraceContext trace,
+                             metrics::PhaseAccount* pa) {
+  // Stamp the causal identity for this admission; the executor renders it
+  // as an attempt span.
+  ctx.trace = trace;
+  ctx.gpu_index = static_cast<int>(gpu);
+  ctx.cancel = &token;
+  if (placer_ != nullptr) {
+    placer_->OnRequestStart(gpu);
+    RegisterInFlight(gpu, &token, &ctx);
+  }
+  const sim::Duration gpu_before = pa != nullptr
+                                       ? gpus_[gpu]->JobGpuDuration(ctx.job)
+                                       : sim::Duration::Zero();
+  co_await executor(gpu).RunOnce(ctx, g);
+  if (pa != nullptr) {
+    // Split the run interval into measured GPU residency (compute) and
+    // everything else — pool queueing, scheduler token waits (queue).
+    pa->SplitCharge(metrics::Phase::kGpuCompute,
+                    gpus_[gpu]->JobGpuDuration(ctx.job) - gpu_before,
+                    metrics::Phase::kGpuQueue, env_.Now());
+  }
+  token.finished = true;
+  ctx.cancel = nullptr;
+  if (placer_ != nullptr) {
+    placer_->OnRequestEnd(gpu);
+    DeregisterInFlight(gpu, &token);
+  }
+}
+
+graph::JobContext* Experiment::ClientContext(std::size_t tenant,
                                              std::size_t gpu) {
-  const auto it = client_gpu_ctx_.find({client_index, gpu});
+  const auto it = client_gpu_ctx_.find({tenant, gpu});
   return it == client_gpu_ctx_.end() ? nullptr : it->second;
 }
 
@@ -692,106 +660,67 @@ void Experiment::DeregisterInFlight(std::size_t gpu,
   }
 }
 
-void Experiment::BindExecutors() {
+void Experiment::StartServing() {
+  if (started_) {
+    throw std::logic_error(
+        "Experiment already started: Run and StartServing run once, and are "
+        "exclusive");
+  }
+  started_ = true;
   for (std::size_t i = 0; i < gpus_.size(); ++i) executor(i);  // bind hooks
-}
-
-void Experiment::SetupFailover(std::size_t expected_clients) {
-  // Stand up the failover subsystem before traffic or faults: listeners
-  // must be attached when the first device signal fires.
   std::vector<gpusim::Gpu*> gpu_ptrs;
   gpu_ptrs.reserve(gpus_.size());
   for (const auto& g : gpus_) gpu_ptrs.push_back(g.get());
-  HealthObserver* observer = this;  // private base: convert in-class
-  health_ = std::make_unique<HealthMonitor>(
-      env_, std::move(gpu_ptrs), options_.failover.health,
-      options_.failover.recovery, observer, &counters_,
-      options_.executor.tracer);
-  placer_ = std::make_unique<Placer>(env_, *health_, gpus_.size());
-  inflight_.resize(gpus_.size());
-  health_->Start();
-  remaining_clients_ = expected_clients;
-}
-
-void Experiment::ArmFaults() {
+  if (options_.failover.enabled) {
+    // Stand up the failover subsystem before traffic or faults: listeners
+    // must be attached when the first device signal fires.
+    HealthObserver* observer = this;  // private base: convert in-class
+    health_ = std::make_unique<HealthMonitor>(
+        env_, gpu_ptrs, options_.failover.health, options_.failover.recovery,
+        observer, &counters_, options_.executor.tracer);
+    placer_ = std::make_unique<Placer>(env_, *health_, gpus_.size());
+    inflight_.resize(gpus_.size());
+    health_->Start();
+  }
   // Arm the fault schedule before any client starts, so an event at t=0
   // still lands. All faults fire on the virtual clock: a run with the same
   // seed and plan is bit-for-bit reproducible.
-  if (options_.faults.events().empty()) return;
-  std::vector<gpusim::Gpu*> gpu_ptrs;
-  gpu_ptrs.reserve(gpus_.size());
-  for (const auto& g : gpus_) gpu_ptrs.push_back(g.get());
-  injector_ = std::make_unique<fault::FaultInjector>(
-      env_, std::move(gpu_ptrs), options_.faults, &counters_,
-      options_.executor.tracer);
-  injector_->Arm();
-}
-
-void Experiment::StartServing() {
-  if (ran_) {
-    throw std::logic_error(
-        "StartServing: experiment already ran (Run and StartServing are "
-        "exclusive)");
+  if (!options_.faults.events().empty()) {
+    injector_ = std::make_unique<fault::FaultInjector>(
+        env_, std::move(gpu_ptrs), options_.faults, &counters_,
+        options_.executor.tracer);
+    injector_->Arm();
   }
-  ran_ = true;
-  serving_ = true;
-  BindExecutors();
-  // Tenants arrive one at a time, so the last-client-out bookkeeping that
-  // stops the probe loops does not apply; the cluster calls StopServing.
-  if (options_.failover.enabled) SetupFailover(0);
-  ArmFaults();
 }
 
 std::size_t Experiment::AddTenant(const ClientSpec& spec) {
-  if (!serving_) throw std::logic_error("AddTenant before StartServing");
+  if (!started_) throw std::logic_error("AddTenant before StartServing");
   const std::size_t index = tenants_.size();
-  const std::size_t gpu_index = index % gpus_.size();  // round-robin placement
-  const graph::Graph& g = LoadModel(spec.model, gpu_index);
-  const models::ModelSpec& mspec = models::GetModel(spec.model);
-
-  auto ctx = std::make_unique<graph::JobContext>();
-  ctx->job = next_job_id_++;
-  ctx->client_name = spec.model + "#" + std::to_string(index);
-  ctx->model_key = models::ModelKey(spec.model, spec.batch);
-  ctx->batch = spec.batch;
-  ctx->weight = spec.weight;
-  ctx->priority = spec.priority;
-  ctx->min_share = spec.min_share;
-  ctx->gpu_index = static_cast<int>(gpu_index);
-  for (int s = 0; s < options_.streams_per_job; ++s) {
-    ctx->streams.push_back(gpus_[gpu_index]->CreateStream());
-  }
-  gpus_[gpu_index]->AllocateMemory(ctx->job, mspec.ClientMemoryMb(spec.batch));
-
-  if (placer_ != nullptr) {
-    placer_->MarkReady(gpu_index, spec.model);
-    client_gpu_ctx_[{index, gpu_index}] = ctx.get();
-  }
-  tenants_.push_back(Tenant{spec, ctx.get(), &g, gpu_index});
-  contexts_.push_back(std::move(ctx));
+  const std::size_t gpu = index % gpus_.size();  // round-robin placement
+  const graph::Graph& g = LoadModel(spec.model, gpu);
+  graph::JobContext& ctx = NewContext(spec, gpu, std::to_string(index));
+  // The home replica exists from setup: record it so Route prefers devices
+  // that already hold the model. The context index serves per-device
+  // cancellation, failover routing and retirement.
+  if (placer_ != nullptr) placer_->MarkReady(gpu, spec.model);
+  client_gpu_ctx_[{index, gpu}] = &ctx;
+  tenants_.push_back(Tenant{spec, &ctx, &g, gpu});
   return index;
 }
 
-sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
-                                         sim::TimePoint arrival,
-                                         RequestStatus& status,
-                                         metrics::PhaseAccount* phases) {
-  Tenant& t = tenants_.at(tenant);
-  // The tenant index doubles as the client index for client_gpu_ctx_ keys,
-  // so failover replicas are shared across all of the tenant's requests.
-  co_await RunRequest(tenant, *t.ctx, *t.graph, t.spec, rng, arrival,
-                      t.primary_gpu, status, phases);
-}
-
-void Experiment::RetireTenant(std::size_t tenant) {
-  Tenant& t = tenants_.at(tenant);
-  if (health_ != nullptr) {
-    for (const auto& [key, c] : client_gpu_ctx_) {
-      if (key.first == tenant) gpus_[key.second]->RetireJob(c->job);
-    }
-  } else {
-    gpus_[t.primary_gpu]->RetireJob(t.ctx->job);
+sim::Duration Experiment::RetireTenant(std::size_t tenant) {
+  // Under failover the tenant's work may have spanned devices: visit every
+  // context it ran on, summing GPU durations and folding each meter into
+  // the retired table so the live meter count stays bounded no matter how
+  // many jobs a run admits.
+  sim::Duration gpu_duration;
+  for (auto it = client_gpu_ctx_.lower_bound({tenant, 0});
+       it != client_gpu_ctx_.end() && it->first.first == tenant; ++it) {
+    gpusim::Gpu& gpu = *gpus_[it->first.second];
+    gpu_duration += gpu.JobGpuDuration(it->second->job);
+    gpu.RetireJob(it->second->job);
   }
+  return gpu_duration;
 }
 
 void Experiment::StopServing() {
@@ -811,55 +740,20 @@ bool Experiment::AnyUsableDevice() const {
 
 std::vector<ClientResult> Experiment::Run(
     const std::vector<ClientSpec>& clients) {
-  if (ran_) throw std::logic_error("Experiment::Run may only be called once");
-  ran_ = true;
-  BindExecutors();
-  if (options_.failover.enabled) SetupFailover(clients.size());
-  ArmFaults();
-
+  StartServing();
   std::vector<ClientResult> results(clients.size());
   std::vector<sim::Process> procs;
   procs.reserve(clients.size());
   for (std::size_t i = 0; i < clients.size(); ++i) {
-    const ClientSpec& spec = clients[i];
-    const std::size_t gpu_index = i % gpus_.size();  // round-robin placement
-    const graph::Graph& g = LoadModel(spec.model, gpu_index);
-    const models::ModelSpec& mspec = models::GetModel(spec.model);
-
-    auto ctx = std::make_unique<graph::JobContext>();
-    ctx->job = next_job_id_++;
-    ctx->client_name = spec.model + "#" + std::to_string(i);
-    ctx->model_key = models::ModelKey(spec.model, spec.batch);
-    ctx->batch = spec.batch;
-    ctx->weight = spec.weight;
-    ctx->priority = spec.priority;
-    ctx->min_share = spec.min_share;
-    ctx->gpu_index = static_cast<int>(gpu_index);
-    for (int s = 0; s < options_.streams_per_job; ++s) {
-      ctx->streams.push_back(gpus_[gpu_index]->CreateStream());
-    }
-    // Per-client activation memory for in-flight batches (§4.3).
-    gpus_[gpu_index]->AllocateMemory(ctx->job, mspec.ClientMemoryMb(spec.batch));
-
+    const Tenant& t = tenants_[AddTenant(clients[i])];
     ClientResult& out = results[i];
-    out.name = ctx->client_name;
-    out.job = ctx->job;
-    out.model = spec.model;
-    out.batch = spec.batch;
-    out.gpu_index = gpu_index;
-
-    if (options_.failover.enabled) {
-      // The home replica exists from setup: record it so Route prefers
-      // devices that already hold the model, and index the context for
-      // per-device cancellation and failover routing.
-      placer_->MarkReady(gpu_index, spec.model);
-      client_gpu_ctx_[{i, gpu_index}] = ctx.get();
-    }
-
-    procs.push_back(env_.Spawn(
-        ClientProc(i, *ctx, g, spec, options_.seed * 7919 + i, out),
-        ctx->client_name));
-    contexts_.push_back(std::move(ctx));
+    out.name = t.ctx->client_name;
+    out.job = t.ctx->job;
+    out.model = t.spec.model;
+    out.batch = t.spec.batch;
+    out.gpu_index = t.primary_gpu;
+    procs.push_back(
+        env_.Spawn(ClientProc(i, options_.seed * 7919 + i, out), out.name));
   }
 
   clients_running_ = clients.size();
@@ -951,9 +845,7 @@ sim::Task Experiment::SamplerProc() {
                    : static_cast<double>(placer_->outstanding(i)));
       if (hooks_[i] != nullptr) hooks_[i]->OnSample(reg, now, i);
     }
-    pool_occupancy.Sample(
-        now, static_cast<double>(pool_->busy_workers() + pool_->queued()) /
-                 static_cast<double>(pool_->num_threads()));
+    pool_occupancy.Sample(now, PoolOccupancy());
     if (breaker_series.size() != breakers_.size()) {
       breaker_series.clear();
       breaker_series.reserve(breakers_.size());
@@ -969,6 +861,11 @@ sim::Task Experiment::SamplerProc() {
     }
     window_start = now;
   }
+}
+
+double Experiment::PoolOccupancy() const {
+  return static_cast<double>(pool_->busy_workers() + pool_->queued()) /
+         static_cast<double>(pool_->num_threads());
 }
 
 double Experiment::utilization() const {

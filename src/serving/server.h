@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -38,7 +39,8 @@ struct ServerStalled : std::runtime_error {
 
 // Health-aware placement, failover, and recovery orchestration. Disabled by
 // default: the legacy static round-robin pin (and its exact event sequence)
-// is preserved bit-for-bit unless `enabled` is set.
+// is preserved bit-for-bit unless `enabled` is set. Both hedging knobs need
+// `enabled`; the Experiment constructor rejects them without it.
 struct FailoverOptions {
   bool enabled = false;
   HealthMonitorOptions health;
@@ -209,37 +211,38 @@ class Experiment : private HealthObserver {
   // the call sites for precise timings.
   void FinishManualRun();
 
-  // Runs all clients concurrently from t=0 to completion. Throws
-  // ServerStalled if progress stops (capacity exceeded) and
-  // gpusim::OutOfDeviceMemory if activations do not fit.
+  // Runs all clients concurrently from t=0 to completion through the
+  // tenant API below (StartServing, then one AddTenant and one client
+  // process per spec). Throws ServerStalled if progress stops (capacity
+  // exceeded) and gpusim::OutOfDeviceMemory if activations do not fit.
   std::vector<ClientResult> Run(const std::vector<ClientSpec>& clients);
 
-  // --- cluster serving API ------------------------------------------------
-  // A Cluster drives N Experiments on one shared Environment through this
-  // surface instead of Run(): stand the server up once, register tenants
-  // (the cluster's clients, one slot per client that ever lands here), and
-  // issue individual requests through the full RunRequest pipeline
-  // (admission, breaker, health-aware placement, retries, device failover).
+  // --- tenant API ---------------------------------------------------------
+  // Run() and a Cluster (N Experiments on one shared Environment) both
+  // drive the server through this surface: stand it up once, register
+  // tenants (one slot per client that ever lands here), and issue
+  // individual requests through the one request path (admission, breaker,
+  // health-aware placement, retries, device failover, hedging).
   //
-  // StartServing = the setup Run() performs before spawning clients (bind
-  // executors, stand up failover, arm the device-fault schedule); it marks
-  // the experiment as running, so Run() and StartServing are exclusive.
+  // Binds the executors, stands up failover, and arms the device-fault
+  // schedule. Runs once; Run() calls it, so Run() and a direct call are
+  // exclusive.
   void StartServing();
   // Register one tenant: loads the model, creates its JobContext on the
-  // next round-robin home device, and allocates activation memory — exactly
-  // the per-client setup Run() performs. Returns the tenant index.
+  // next round-robin home device, and allocates activation memory. Returns
+  // the tenant index.
   std::size_t AddTenant(const ClientSpec& spec);
-  // One request of tenant `tenant` through the RunRequest pipeline.
-  // `arrival` anchors the deadline; `status` receives the terminal outcome.
-  // `phases` (optional) continues the request's latency-anatomy account —
-  // the cluster charges the router-side phases, this call charges the
-  // server-side ones.
+  // One request of tenant `tenant`. `arrival` anchors the deadline;
+  // `status` receives the terminal outcome. `phases` (optional) continues
+  // the request's latency-anatomy account — the cluster charges the
+  // router-side phases, this call charges the server-side ones.
   sim::Task ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
                                sim::TimePoint arrival, RequestStatus& status,
                                metrics::PhaseAccount* phases = nullptr);
-  // Fold a tenant's meters into the retired table (call when its client
-  // finishes, mirroring ClientProc's retirement).
-  void RetireTenant(std::size_t tenant);
+  // Fold the meters of every context the tenant ran on into the retired
+  // table (call when its client finishes); returns their summed GPU
+  // duration.
+  sim::Duration RetireTenant(std::size_t tenant);
   // Stop the health monitor's probe loops so the shared event queue can
   // drain once traffic ends.
   void StopServing();
@@ -273,9 +276,8 @@ class Experiment : private HealthObserver {
   struct HedgeState {
     explicit HedgeState(sim::Environment& env) : cv(env) {}
     bool primary_done = false;
-    bool done = false;     // hedge attempt finished (or skipped)
-    bool skipped = false;  // hedge never ran (primary won the race)
-    bool won = false;      // hedge completed without cancellation
+    bool done = false;  // hedge attempt finished (or never ran)
+    bool won = false;   // hedge completed without cancellation
     graph::CancelToken* token = nullptr;  // hedge's in-flight token
     graph::JobContext* ctx = nullptr;
     std::size_t gpu = 0;
@@ -287,27 +289,29 @@ class Experiment : private HealthObserver {
 
   Experiment(ServerOptions options, sim::Environment* env);
 
-  // Run() setup stages, also used piecewise by the cluster API (pure code
-  // motion out of Run so the single-server event sequence is unchanged).
-  void BindExecutors();
-  void SetupFailover(std::size_t expected_clients);
-  void ArmFaults();
-
-  sim::Task ClientProc(std::size_t client_index, graph::JobContext& ctx,
-                       const graph::Graph& g, ClientSpec spec,
-                       std::uint64_t seed, ClientResult& out);
-  // One request attempt chain: admission -> breaker -> route -> run ->
-  // retry loop. Writes the terminal status into `status`.
-  sim::Task RunRequest(std::size_t client_index, graph::JobContext& primary_ctx,
-                       const graph::Graph& g, const ClientSpec& spec,
-                       sim::Rng& rng, sim::TimePoint arrival,
-                       std::size_t primary_gpu, RequestStatus& status,
-                       metrics::PhaseAccount* pa = nullptr);
+  // The one JobContext factory: a fresh job named `<model>#<tag>`, its
+  // streams on `gpu`, and activation memory for `spec.batch` items. The
+  // context is owned from birth, so it outlives a failed allocation.
+  graph::JobContext& NewContext(const ClientSpec& spec, std::size_t gpu,
+                                const std::string& tag);
+  sim::Task ClientProc(std::size_t client, std::uint64_t seed,
+                       ClientResult& out);
+  // One admission of a request on `gpu`: stamp the trace, register the
+  // in-flight token, run the graph, release. Shared by the primary attempt
+  // and the hedge; `token` must outlive the leg.
+  sim::Task RunLeg(graph::JobContext& ctx, const graph::Graph& g,
+                   std::size_t gpu, graph::CancelToken& token,
+                   metrics::TraceContext trace, metrics::PhaseAccount* pa);
   // Fires at `deadline`; cancels the run if it is still in flight. Holds a
   // shared_ptr so a watchdog outliving its request cannot dangle.
   sim::Task DeadlineWatchdog(std::shared_ptr<graph::CancelToken> token,
                              graph::JobContext* ctx, std::size_t gpu_index,
                              sim::TimePoint deadline);
+  // Cancel an in-flight run and, once per token, tell `gpu`'s scheduler.
+  void CancelAndNotify(graph::CancelToken& token, graph::CancelReason reason,
+                       graph::JobContext& ctx, std::size_t gpu);
+  // Busy plus queued pool work as a fraction of the pool's threads.
+  double PoolOccupancy() const;
   CircuitBreaker* BreakerFor(const std::string& model);
 
   // --- failover plumbing (active only when options_.failover.enabled) ----
@@ -315,16 +319,14 @@ class Experiment : private HealthObserver {
   void OnDeviceDown(std::size_t gpu) override;
   void OnDeviceReadmitted(std::size_t gpu) override;
   sim::Duration ParamsReloadCost(std::size_t gpu) const override;
-  // Bring `spec.model` (and this client's JobContext) up on `gpu`, charging
+  // Bring the tenant's model (and its JobContext) up on `gpu`, charging
   // reload + warm-up on the virtual clock for the first arrival; concurrent
   // arrivals await the load. `ok` is false on a transient alloc failure.
-  sim::Task EnsureReplica(std::size_t client_index, const ClientSpec& spec,
-                          std::size_t gpu, bool& ok);
+  sim::Task EnsureReplica(std::size_t tenant, std::size_t gpu, bool& ok);
   // Duplicate attempt on `gpu` while the primary runs on a degraded device.
-  sim::Task HedgeProc(std::size_t client_index, const ClientSpec& spec,
-                      const graph::Graph& g, std::size_t gpu,
+  sim::Task HedgeProc(std::size_t tenant, std::size_t gpu,
                       std::shared_ptr<HedgeState> st);
-  graph::JobContext* ClientContext(std::size_t client_index, std::size_t gpu);
+  graph::JobContext* ClientContext(std::size_t tenant, std::size_t gpu);
   // Virtual-clock sampler: snapshots device/pool/health/scheduler state
   // into the observability registry every `sample_interval` until the last
   // client finishes. Read-only; never perturbs the simulation.
@@ -350,7 +352,7 @@ class Experiment : private HealthObserver {
   std::vector<std::unique_ptr<graph::JobContext>> contexts_;
   gpusim::JobId next_job_id_ = 0;
   sim::Duration makespan_;
-  bool ran_ = false;
+  bool started_ = false;  // StartServing ran (directly or through Run)
   metrics::ServingCounters counters_;
   std::unique_ptr<fault::FaultInjector> injector_;
   // Per-model circuit breakers (lazily created when the breaker is enabled).
@@ -359,36 +361,32 @@ class Experiment : private HealthObserver {
   // --- failover state (allocated only when options_.failover.enabled) ----
   std::unique_ptr<HealthMonitor> health_;
   std::unique_ptr<Placer> placer_;
-  // One JobContext per (client, device) the client has ever run on; the
-  // primary is created eagerly at setup, replicas lazily on first route.
-  std::map<std::pair<std::size_t, std::size_t>, graph::JobContext*>
-      client_gpu_ctx_;
   struct InFlight {
     graph::CancelToken* token = nullptr;
     graph::JobContext* ctx = nullptr;
   };
   std::vector<std::vector<InFlight>> inflight_;  // per device
-  // Clients still running; the last one out stops the health monitor's
-  // probe loops so the event queue can drain.
-  std::size_t remaining_clients_ = 0;
 
-  // --- cluster serving state ---------------------------------------------
+  // --- tenant state -------------------------------------------------------
   struct Tenant {
     ClientSpec spec;
     graph::JobContext* ctx = nullptr;  // home-device context
     const graph::Graph* graph = nullptr;
     std::size_t primary_gpu = 0;
   };
-  std::vector<Tenant> tenants_;
-  bool serving_ = false;  // StartServing ran (cluster mode)
+  // A deque: in-flight requests hold references across AddTenant calls.
+  std::deque<Tenant> tenants_;
+  // One JobContext per (tenant, device) the tenant has ever run on; the
+  // home one is created by AddTenant, replicas lazily on first route.
+  std::map<std::pair<std::size_t, std::size_t>, graph::JobContext*>
+      client_gpu_ctx_;
 
   // --- observability state ------------------------------------------------
   // Monotonic request-id source; every admission (retry, failover, hedge)
   // of one request reuses its id as the Chrome-trace flow id.
   std::uint64_t next_request_id_ = 0;
-  // Clients still inside ClientProc; the sampler loop's stop condition
-  // (kept distinct from remaining_clients_, which only exists under
-  // failover).
+  // Clients still inside ClientProc (Run only); the last one out stops the
+  // health monitor and the sampler.
   std::size_t clients_running_ = 0;
 };
 

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/profiler.h"
@@ -368,6 +370,34 @@ TEST(FailoverTest, HedgeWinAdoptedWhenPrimaryDiesMidKernel) {
 
 // ---------------------------------------------------------------------------
 // Determinism: the failover path is on the virtual clock end to end
+
+TEST(FailoverTest, HedgeOptionsWithoutFailoverAreRejected) {
+  // A hedge races a second replica, which only the failover placer routes
+  // to: either hedging knob without failover.enabled is a configuration
+  // error, reported at construction and naming the knob and the fix.
+  serving::ServerOptions degraded = TwoGpuOptions(/*failover=*/false);
+  degraded.failover.hedge_when_degraded = true;
+  serving::ServerOptions scored = TwoGpuOptions(/*failover=*/false);
+  scored.failover.hedge_below_score = 0.9;
+  for (const auto& [opts, knob] :
+       {std::pair{degraded, "failover.hedge_when_degraded"},
+        std::pair{scored, "failover.hedge_below_score"}}) {
+    EXPECT_THROW(
+        {
+          serving::Experiment exp(opts);
+          exp.Run(TwoGpuWorkload(/*batches=*/2));
+        },
+        std::invalid_argument)
+        << knob;
+    try {
+      serving::Experiment exp(opts);
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(knob), std::string::npos) << what;
+      EXPECT_NE(what.find("set failover.enabled"), std::string::npos) << what;
+    }
+  }
+}
 
 TEST(FailoverTest, FailoverRunsAreBitIdenticalAcrossRepeats) {
   auto run = [] {

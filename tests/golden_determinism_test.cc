@@ -29,6 +29,7 @@
 #include "core/scheduler.h"
 #include "fault/fault.h"
 #include "metrics/counters.h"
+#include "metrics/phase_account.h"
 #include "metrics/registry.h"
 #include "metrics/trace.h"
 #include "serving/cluster.h"
@@ -802,6 +803,159 @@ TEST(GoldenDeterminismTest, GrayClusterShardedBitIdenticalToUnsharded) {
          "into the trajectory";
   EXPECT_EQ(par, seq)
       << "4-shard gray run diverged from the single-queue run (same seed)";
+}
+
+
+// ---------------------------------------------------------------------------
+// Single-server failover golden: the server's own request path with every
+// leg live — device failover, degraded-device hedging, a deadline, the
+// circuit breaker, the admission watermark and retries — through a kernel
+// failure, a hang, a reset with a down window and an alloc-fault window.
+// The single-server goldens above are fault-free; this one pins the
+// server's failover and hedge trajectory, down to every ServingCounters
+// field and the latency-anatomy blame table.
+
+struct GoldenServerFailoverRun {
+  std::vector<std::int64_t> finish_ns;  // per-client
+  // Per-client request statuses, one digit per request (RequestStatus).
+  std::vector<std::string> statuses;
+  // Every ServingCounters field in Fields() order.
+  std::vector<std::uint64_t> counters;
+  std::uint64_t events = 0;
+  std::string blame;  // PhaseCollector::WriteBlameJson
+
+  bool operator==(const GoldenServerFailoverRun&) const = default;
+};
+
+GoldenServerFailoverRun RunServerFailoverWorkload() {
+  const auto at = [](int ms) {
+    return sim::TimePoint() + sim::Duration::Millis(ms);
+  };
+  metrics::PhaseCollector phases(
+      metrics::PhaseCollector::Options{.slo_ms = 150.0});
+  serving::ServerOptions opts;
+  opts.seed = 29;
+  opts.num_gpus = 2;
+  opts.pool_threads = 8;
+  opts.failover.enabled = true;
+  opts.failover.hedge_when_degraded = true;
+  opts.failover.hedge_delay = sim::Duration::Millis(1);
+  // The hang keeps the device degraded (not down) so the hedge fires.
+  opts.failover.health.hang_down_after = sim::Duration::Seconds(10);
+  opts.degradation.retry.base_backoff = sim::Duration::Millis(10);
+  opts.degradation.breaker.failure_threshold = 2;
+  opts.degradation.admission_watermark = 0.75;
+  opts.observability.phases = &phases;
+  opts.faults.KernelFailure(at(595), /*stream=*/1, /*gpu_index=*/0);
+  opts.faults.DeviceHang(at(600), sim::Duration::Millis(300), /*gpu_index=*/0);
+  opts.faults.DeviceReset(at(650), sim::Duration::Millis(200),
+                          /*gpu_index=*/0);
+  opts.faults.AllocFault(at(800), sim::Duration::Millis(60),
+                         /*gpu_index=*/1);
+  serving::Experiment exp(opts);
+  const auto results = exp.Run(
+      {serving::ClientSpec{
+           .model = "resnet-152", .batch = 20, .num_batches = 12},
+       serving::ClientSpec{.model = "googlenet",
+                           .batch = 20,
+                           .num_batches = 12,
+                           .deadline = sim::Duration::Millis(400)},
+       serving::ClientSpec{.model = "googlenet",
+                           .batch = 10,
+                           .num_batches = 20,
+                           .mean_interarrival = sim::Duration::Millis(40),
+                           .deadline = sim::Duration::Millis(250)},
+       serving::ClientSpec{
+           .model = "inception-v4", .batch = 10, .num_batches = 8}});
+  GoldenServerFailoverRun out;
+  for (const auto& r : results) {
+    out.finish_ns.push_back(r.finish_time.nanos());
+    std::string s;
+    for (const serving::RequestStatus st : r.request_status) {
+      s += static_cast<char>('0' + static_cast<int>(st));
+    }
+    out.statuses.push_back(std::move(s));
+  }
+  for (const metrics::ServingCounters::Field& f :
+       metrics::ServingCounters::Fields()) {
+    out.counters.push_back(exp.counters().*f.member);
+  }
+  out.events = exp.env().events_executed();
+  std::ostringstream blame;
+  phases.WriteBlameJson(blame);
+  out.blame = blame.str();
+  return out;
+}
+
+void PrintGoldenServerFailover(const char* name,
+                               const GoldenServerFailoverRun& g) {
+  std::printf("const GoldenServerFailoverRun %s{\n    {", name);
+  for (auto v : g.finish_ns) std::printf("%lldLL, ", static_cast<long long>(v));
+  std::printf("},\n    {");
+  for (const auto& s : g.statuses) std::printf("\"%s\", ", s.c_str());
+  std::printf("},\n    {");
+  for (auto v : g.counters) {
+    std::printf("%lluULL, ", static_cast<unsigned long long>(v));
+  }
+  std::printf("},\n    %lluULL,\n    R\"json(%s)json\"};\n",
+              static_cast<unsigned long long>(g.events), g.blame.c_str());
+}
+
+// Recorded at the commit before the server request path was folded into
+// one mechanism; seed 29.
+const GoldenServerFailoverRun kGoldenServerFailover{
+    {3141866731LL, 454806796LL, 1423955507LL, 794403131LL},
+    {"023000000000", "002222222222", "02122022212222011111", "02220000"},
+    {1ULL, 1ULL, 1ULL, 1ULL, 0ULL, 20ULL, 1ULL, 7ULL, 24ULL, 0ULL, 3ULL, 20ULL,
+     4ULL, 1ULL, 2ULL, 1ULL, 7ULL, 6ULL, 1ULL, 1ULL, 1ULL, 2ULL, 1ULL, 0ULL,
+     1ULL, 1ULL, 1ULL},
+    1416674ULL,
+    R"json({
+  "slo_ms": 150,
+  "requests": 52,
+  "violations": 50,
+  "phase_sum_mismatches": 0,
+  "rows": [
+    {"server": -1, "model": "googlenet", "requests": 32, "violations": 32, "dominant_phase": "admission", "phases_ns":{"admission":2252480821,"gpu_queue":194521088,"gpu_compute":1413721617,"backoff":132917302}, "violation_phases_ns":{"admission":2252480821,"gpu_queue":194521088,"gpu_compute":1413721617,"backoff":132917302}, "dominant_counts":{"admission":14,"gpu_compute":7,"backoff":11}},
+    {"server": -1, "model": "inception-v4", "requests": 8, "violations": 6, "dominant_phase": "gpu_compute", "phases_ns":{"gpu_queue":55276964,"gpu_compute":724126167,"backoff":15000000}, "violation_phases_ns":{"gpu_queue":48300659,"gpu_compute":466726679,"backoff":15000000}, "dominant_counts":{"gpu_compute":3,"backoff":3}},
+    {"server": -1, "model": "resnet-152", "requests": 12, "violations": 12, "dominant_phase": "gpu_compute", "phases_ns":{"gpu_queue":191771458,"gpu_compute":2664742729,"backoff":15266134,"hedge_overhead":270086410}, "violation_phases_ns":{"gpu_queue":191771458,"gpu_compute":2664742729,"backoff":15266134,"hedge_overhead":270086410}, "dominant_counts":{"gpu_compute":10,"backoff":1,"hedge_overhead":1}}
+  ]
+}
+)json"};
+
+TEST(GoldenDeterminismTest, ServerFailoverMatchesGoldenAndReplays) {
+  const GoldenServerFailoverRun a = RunServerFailoverWorkload();
+  const GoldenServerFailoverRun b = RunServerFailoverWorkload();
+  EXPECT_EQ(a, b) << "same-seed server failover replay diverged";
+  if (PrintRequested()) {
+    PrintGoldenServerFailover("kGoldenServerFailover", a);
+    return;
+  }
+  EXPECT_EQ(a.finish_ns, kGoldenServerFailover.finish_ns);
+  EXPECT_EQ(a.statuses, kGoldenServerFailover.statuses);
+  const auto fields = metrics::ServingCounters::Fields();
+  ASSERT_EQ(a.counters.size(), fields.size());
+  ASSERT_EQ(kGoldenServerFailover.counters.size(), fields.size());
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    EXPECT_EQ(a.counters[i], kGoldenServerFailover.counters[i])
+        << fields[i].name;
+  }
+  EXPECT_EQ(a.events, kGoldenServerFailover.events);
+  EXPECT_EQ(a.blame, kGoldenServerFailover.blame);
+  // The scenario actually exercises every leg it claims to pin.
+  const auto field = [&](std::string_view name) {
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      if (name == fields[i].name) return a.counters[i];
+    }
+    ADD_FAILURE() << "no ServingCounters field " << name;
+    return std::uint64_t{0};
+  };
+  for (const char* name :
+       {"requests_failed_over", "hedge_wins", "retries", "requests_shed",
+        "breaker_rejections", "transient_alloc_failures",
+        "deadline_cancellations", "replica_instantiations"}) {
+    EXPECT_GT(field(name), 0u) << name;
+  }
 }
 
 }  // namespace
