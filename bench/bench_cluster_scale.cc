@@ -9,12 +9,8 @@
 // trajectory fingerprint (FNV-1a over every request's finish time, latency
 // and status). All shard counts of one server count must fingerprint
 // identically — the conservative engine is bit-exact, so parallelism is
-// free of replay drift; main() checks this (adaptive cases included) and
-// the speedup table prints shards=1 as the denominator.
-//
-// Each server count also runs a shards=4 ADAPTIVE case: a static profile
-// pass measures per-server traffic, then greedy bin-packing places servers
-// on shards by that weight. Same fingerprint, tighter imbalance.
+// free of replay drift; main() checks this and the speedup table prints
+// shards=1 as the denominator. Server s runs on shard s % shards.
 //
 // A final case exercises the aggregate arrival path at population scale:
 // one open-loop stream standing in for 1,000,000 modeled clients (memory is
@@ -48,19 +44,6 @@ sim::TimePoint At(double ms) {
 constexpr std::size_t kShardCounts[] = {1, 2, 4, 8};
 constexpr std::size_t kServerCounts[] = {4, 16};
 
-struct ScaleRun {
-  double secs = 0.0;
-  std::uint64_t events = 0;
-  std::uint64_t sync_windows = 0;
-  std::uint64_t boundary_events = 0;
-  std::uint32_t fingerprint = 0;
-  std::size_t shards = 0;
-  // Per-server boundary-event counts — the measured per-lane traffic a
-  // profile pass feeds back as ClusterOptions::server_weights for adaptive
-  // assignment.
-  std::vector<double> lane_weights;
-};
-
 std::uint32_t Fnv1a(std::uint32_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     h ^= static_cast<std::uint32_t>(v & 0xffu);
@@ -73,18 +56,14 @@ std::uint32_t Fnv1a(std::uint32_t h, std::uint64_t v) {
 // The chaos workload: crashes and a partition spread over distinct servers
 // (and, at shards > 1, distinct shards), two open-loop clients homed per
 // server. Identical virtual trajectory for every shard count.
-ScaleRun RunScaleCase(
-    std::size_t servers, std::size_t shards, bench::SweepCase* record,
-    serving::ShardAssignment assignment = serving::ShardAssignment::kStatic,
-    std::vector<double> weights = {}) {
+void RunScaleCase(std::size_t servers, std::size_t shards,
+                  bench::SweepCase& out) {
   serving::ClusterOptions opts;
   opts.num_servers = servers;
   opts.server.num_gpus = 1;
   opts.server.pool_threads = 100;
   opts.seed = 41;
   opts.shards = shards;
-  opts.assignment = assignment;
-  opts.server_weights = std::move(weights);
   opts.faults.Crash(At(150), sim::Duration::Millis(400), /*server=*/0);
   opts.faults.Partition(At(450), sim::Duration::Millis(350),
                         /*server=*/servers - 1,
@@ -104,17 +83,10 @@ ScaleRun RunScaleCase(
   serving::Cluster cluster(opts);
   const auto results = cluster.Run(
       std::vector<serving::ClusterClientSpec>(2 * servers, c));
-  ScaleRun out;
-  out.secs = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           t0)
-                 .count();
-  out.events = cluster.engine().events_executed();
-  out.sync_windows = cluster.engine().sync_windows();
-  out.boundary_events = cluster.engine().boundary_events();
-  out.shards = cluster.shards();
-  for (const std::uint64_t b : cluster.engine().lane_boundary_events()) {
-    out.lane_weights.push_back(static_cast<double>(b));
-  }
+  const double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  const std::uint64_t events = cluster.engine().events_executed();
   std::uint32_t h = 2166136261u;
   for (const auto& r : results) {
     h = Fnv1a(h, static_cast<std::uint64_t>(r.finish_time.nanos()));
@@ -128,19 +100,13 @@ ScaleRun RunScaleCase(
       h = Fnv1a(h, bits);
     }
   }
-  out.fingerprint = h;
 
-  if (record != nullptr) {
-    record->RecordEngine(cluster.engine());
-    record->Set("servers", static_cast<double>(servers));
-    record->Set("events", static_cast<double>(out.events));
-    record->Set("run_seconds", out.secs);
-    record->Set("events_per_s",
-                out.secs > 0 ? static_cast<double>(out.events) / out.secs
-                             : 0.0);
-    record->Set("fingerprint", static_cast<double>(out.fingerprint));
-  }
-  return out;
+  out.RecordEngine(cluster.engine());
+  out.Set("servers", static_cast<double>(servers));
+  out.Set("events", static_cast<double>(events));
+  out.Set("run_seconds", secs);
+  out.Set("events_per_s", secs > 0 ? static_cast<double>(events) / secs : 0.0);
+  out.Set("fingerprint", static_cast<double>(h));
 }
 
 // Aggregate arrivals at population scale: one stream modeling 1M clients.
@@ -207,21 +173,9 @@ int main() {
       const std::string name = "servers" + std::to_string(servers) +
                                "-shards" + std::to_string(shards);
       sweep.Add(name, [servers, shards](bench::SweepCase& out) {
-        RunScaleCase(servers, shards, &out);
+        RunScaleCase(servers, shards, out);
       });
     }
-    // Adaptive assignment at shards=4: a static profile pass measures
-    // per-server traffic (lane boundary events), which the recorded run
-    // feeds back as server weights. The trajectory fingerprint must still
-    // match shards=1 — assignment only changes the thread-to-work packing.
-    sweep.Add("servers" + std::to_string(servers) + "-shards4-adaptive",
-              [servers](bench::SweepCase& out) {
-                const ScaleRun profile =
-                    RunScaleCase(servers, /*shards=*/4, /*record=*/nullptr);
-                RunScaleCase(servers, /*shards=*/4, &out,
-                             serving::ShardAssignment::kAdaptive,
-                             profile.lane_weights);
-              });
   }
   sweep.Add("stream-1M-clients", RunMillionClientCase);
 

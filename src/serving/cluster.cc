@@ -52,55 +52,12 @@ std::size_t ValidatedShards(const ClusterOptions& o) {
   return shards;
 }
 
-// Server -> shard lane map (one lane per server). kStatic is s % shards;
-// kAdaptive runs deterministic greedy bin-packing on the measured weights:
-// heaviest server first (ties by index), each onto the least-loaded shard
-// (ties to the lowest shard index). Uniform weights reproduce kStatic
-// exactly — round k of the greedy pass sees all shard loads equal and fills
-// shards 0..S-1 in index order — so switching the policy on never perturbs
-// a trajectory, only the packing of lanes onto threads.
-std::vector<std::size_t> LaneMap(const ClusterOptions& o, std::size_t shards) {
-  const std::size_t n = o.num_servers;
-  std::vector<std::size_t> lanes(n);
-  if (o.assignment == ShardAssignment::kAdaptive &&
-      !o.server_weights.empty() && o.server_weights.size() != n) {
-    throw std::invalid_argument(
-        "ClusterOptions::server_weights holds " +
-        std::to_string(o.server_weights.size()) + " weights for " +
-        std::to_string(n) +
-        " servers; give one measured weight per server (e.g. "
-        "engine().shard_events() from a profile pass), or leave it empty "
-        "for uniform weights");
-  }
-  if (o.assignment == ShardAssignment::kStatic || shards <= 1 ||
-      o.server_weights.empty()) {
-    for (std::size_t s = 0; s < n; ++s) lanes[s] = s % shards;
-    return lanes;
-  }
-  std::vector<std::size_t> order(n);
-  for (std::size_t s = 0; s < n; ++s) order[s] = s;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return o.server_weights[a] > o.server_weights[b];
-                   });
-  std::vector<double> load(shards, 0.0);
-  for (const std::size_t s : order) {
-    std::size_t best = 0;
-    for (std::size_t k = 1; k < shards; ++k) {
-      if (load[k] < load[best]) best = k;
-    }
-    lanes[s] = best;
-    load[best] += o.server_weights[s];
-  }
-  return lanes;
-}
-
 }  // namespace
 
 Cluster::Cluster(ClusterOptions options)
     : options_(std::move(options)),
       engine_(ValidatedShards(options_), options_.router.net_delay,
-              LaneMap(options_, ValidatedShards(options_))),
+              options_.num_servers),
       env_(engine_.hub()),
       tracer_(options_.server.executor.tracer) {
   if (options_.num_servers < 1) {
@@ -400,7 +357,7 @@ sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
     const bool lost_to = env_.Now() < part_to_until_[s];
     const sim::Duration forward = ro.net_delay * JitterFactor(s, env_.Now());
     if (hops && lost_to) co_await env_.Delay(forward);
-    // Lane s is server s, wherever the shard assignment packed it.
+    // Lane s is server s.
     if (hops && !lost_to) co_await engine_.HopToShard(s, forward);
     if (pa != nullptr) {
       pa->Charge(failing_over ? metrics::Phase::kFailoverReadmit
@@ -762,8 +719,6 @@ void Cluster::ExportEngineIntrospection(metrics::MetricRegistry& reg) const {
       .Set(engine_.boundary_events());
   reg.GetCounter("olympian_engine_worker_wakeups")
       .Set(engine_.worker_wakeups());
-  reg.GetCounter("olympian_engine_introspection_samples_dropped")
-      .Set(engine_.introspection_samples_dropped());
   for (std::size_t k = 0; k < engine_.shards(); ++k) {
     const metrics::Labels labels = {{"shard", std::to_string(k)}};
     reg.GetCounter("olympian_engine_shard_events", labels)
@@ -775,30 +730,6 @@ void Cluster::ExportEngineIntrospection(metrics::MetricRegistry& reg) const {
             engine_.shard_barrier_wait_wall_ns(k)));
     reg.GetCounter("olympian_engine_shard_windows_run", labels)
         .Set(engine_.shard_windows_run(k));
-  }
-  for (std::size_t l = 0; l < engine_.lane_boundary_events().size(); ++l) {
-    reg.GetCounter("olympian_engine_lane_boundary_events",
-                   {{"lane", std::to_string(l)}})
-        .Set(engine_.lane_boundary_events()[l]);
-  }
-  // Window-length and boundary-traffic time series, indexed by virtual
-  // time. An unbounded lone-worker window exports as -1.
-  metrics::MetricRegistry::TimeSeries& window_len =
-      reg.GetSeries("olympian_engine_window_len_ns");
-  metrics::MetricRegistry::TimeSeries& window_width =
-      reg.GetSeries("olympian_engine_window_participants");
-  for (const sim::ShardedEngine::WindowSample& w : engine_.window_samples()) {
-    const sim::TimePoint at =
-        sim::TimePoint() + sim::Duration::Nanos(w.at_ns);
-    window_len.Sample(at, static_cast<double>(w.len_ns));
-    window_width.Sample(at, static_cast<double>(w.participants));
-  }
-  metrics::MetricRegistry::TimeSeries& boundary_batch =
-      reg.GetSeries("olympian_engine_boundary_batch_events");
-  for (const sim::ShardedEngine::BoundarySample& b :
-       engine_.boundary_samples()) {
-    boundary_batch.Sample(sim::TimePoint() + sim::Duration::Nanos(b.at_ns),
-                          static_cast<double>(b.events));
   }
 }
 

@@ -43,18 +43,6 @@ struct ClusterClientResult {
   int CountStatus(RequestStatus s) const;
 };
 
-// Server -> shard assignment policy for sharded runs.
-enum class ShardAssignment {
-  // server s lives on shard s % shards (the PR-7 layout).
-  kStatic,
-  // Deterministic greedy bin-packing on per-server event weight: servers
-  // sorted by (weight desc, index asc), each placed on the least-loaded
-  // shard (ties -> lowest shard). With uniform (or absent) weights this
-  // reproduces kStatic exactly, so the trajectory never depends on the
-  // policy — only the thread-to-work packing does.
-  kAdaptive,
-};
-
 struct ClusterOptions {
   // Template for every server: devices, pool, executor, degradation. The
   // cluster derives each server's seed from `seed` and forces
@@ -73,19 +61,19 @@ struct ClusterOptions {
   // order, so their exports are byte-identical at any shard count.
   metrics::PhaseCollector* phases = nullptr;
   metrics::IncidentLog* incidents = nullptr;
-  // Sharded-engine introspection (per-shard busy/barrier-wait wall time,
-  // window-length and boundary-traffic series) lands HERE, not in
-  // `registry`: wall-clock numbers depend on the physical shard count, so a
-  // separate registry preserves the byte-identical-across-shard-counts
-  // contract for every export above.
+  // Sharded-engine introspection (engine counters and per-shard busy/
+  // barrier-wait wall time) lands HERE, not in `registry`: wall-clock
+  // numbers depend on the physical shard count, so a separate registry
+  // preserves the byte-identical-across-shard-counts contract for every
+  // export above.
   metrics::MetricRegistry* engine_registry = nullptr;
   // Master seed for server seeds and per-client request streams.
   std::uint64_t seed = 1;
   // Simulation shards. 1 (the default) keeps everything on one event queue —
   // the unsharded engine, byte-identical to the pre-sharding cluster. With
   // shards > 1 the servers are partitioned across worker shards (one engine
-  // lane per server, packed by `assignment`; router, clients, and server-
-  // level fault injection on the hub) and the experiment runs on
+  // lane per server, server s on shard s % shards; router, clients, and
+  // server-level fault injection on the hub) and the experiment runs on
   // sim::ShardedEngine's conservative windows. Clamped to num_servers.
   //
   // Every cluster configuration shards: per-request kAllocFault device
@@ -99,13 +87,6 @@ struct ClusterOptions {
   // which is hub-applied). Violations throw with the offending option and
   // the fix named in the message.
   std::size_t shards = 1;
-  // How servers are packed onto shards (irrelevant to the trajectory, which
-  // is shard-assignment-independent by the engine's lane merge order).
-  ShardAssignment assignment = ShardAssignment::kStatic;
-  // Per-server event weights for kAdaptive: measured work (e.g. a profile
-  // pass's engine.shard_events(), or lane boundary-event counts from a
-  // previous run). Empty means uniform. Size must be num_servers otherwise.
-  std::vector<double> server_weights;
 };
 
 // One aggregate request stream: an open-loop arrival process standing in

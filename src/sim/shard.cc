@@ -8,10 +8,8 @@
 namespace olympian::sim {
 
 ShardedEngine::ShardedEngine(std::size_t shards, Duration lookahead,
-                             std::vector<std::size_t> lane_to_shard)
-    : shards_(shards == 0 ? 1 : shards),
-      lookahead_(lookahead),
-      lane_to_shard_(std::move(lane_to_shard)) {
+                             std::size_t lanes)
+    : shards_(shards == 0 ? 1 : shards), lookahead_(lookahead) {
   if (sharded() && lookahead_ <= Duration::Zero()) {
     throw std::logic_error(
         "ShardedEngine: shards=" + std::to_string(shards_) +
@@ -19,33 +17,14 @@ ShardedEngine::ShardedEngine(std::size_t shards, Duration lookahead,
         "latency (e.g. the cluster's router<->server net_delay) as the "
         "lookahead argument, or construct with shards=1");
   }
-  if (lane_to_shard_.empty()) {
-    // Identity map: one lane per shard, the pre-lane API shape.
-    lane_to_shard_.resize(shards_);
-    for (std::size_t k = 0; k < shards_; ++k) lane_to_shard_[k] = k;
-  }
-  for (std::size_t l = 0; l < lane_to_shard_.size(); ++l) {
-    if (lane_to_shard_[l] >= shards_) {
-      throw std::logic_error(
-          "ShardedEngine: lane_to_shard[" + std::to_string(l) + "] = " +
-          std::to_string(lane_to_shard_[l]) + " names a shard >= shards (" +
-          std::to_string(shards_) +
-          "); every lane must map to a worker shard in [0, shards)");
-    }
-  }
   const std::size_t envs = sharded() ? shards_ + 1 : 1;
   envs_.reserve(envs);
   for (std::size_t i = 0; i < envs; ++i) {
     envs_.push_back(std::make_unique<Environment>());
   }
-  lane_boundary_events_.resize(lane_to_shard_.size());
   if (sharded()) {
-    shard_lanes_.resize(shards_);
-    for (std::size_t l = 0; l < lane_to_shard_.size(); ++l) {
-      shard_lanes_[lane_to_shard_[l]].push_back(l);  // ascending lane order
-    }
-    to_shard_.resize(lane_to_shard_.size());
-    to_hub_.resize(lane_to_shard_.size());
+    to_shard_.resize(std::max(lanes, shards_));
+    to_hub_.resize(std::max(lanes, shards_));
     worker_errors_.resize(shards_);
     slots_.reserve(shards_);
     for (std::size_t k = 0; k < shards_; ++k) {
@@ -72,7 +51,7 @@ void ShardedEngine::Send(std::size_t lane, bool to_hub, Duration latency,
         "ShardedEngine: cross-shard hop latency below the engine lookahead "
         "would violate the conservative horizon");
   }
-  const std::size_t shard = lane_to_shard_[lane];
+  const std::size_t shard = lane % shards_;
   if (to_hub) {
     Environment& src = *envs_[shard + 1];
     const TimePoint at = src.Now() + latency;
@@ -91,21 +70,18 @@ void ShardedEngine::Send(std::size_t lane, bool to_hub, Duration latency,
 }
 
 void ShardedEngine::Deliver() {
-  const std::uint64_t before = boundary_events_;
-  // Hub -> workers: concatenate each shard's lanes in ascending lane order
-  // (each channel already in send/seq order), then stable-sort by arrival
-  // time: ties keep lane-then-seq order. The (time, lane, seq) total order
-  // is independent of the lane->shard assignment.
+  // Hub -> workers: concatenate shard k's lanes (k, k + shards, ...) in
+  // ascending lane order (each channel already in send/seq order), then
+  // stable-sort by arrival time: ties keep lane-then-seq order.
   if (pending_to_shard_ != 0) {
     pending_to_shard_ = 0;
     for (std::size_t k = 0; k < shards_; ++k) {
       merge_scratch_.clear();
-      for (const std::size_t l : shard_lanes_[k]) {
+      for (std::size_t l = k; l < to_shard_.size(); l += shards_) {
         Channel& ch = to_shard_[l];
         if (ch.msgs.empty()) continue;
         merge_scratch_.insert(merge_scratch_.end(), ch.msgs.begin(),
                               ch.msgs.end());
-        lane_boundary_events_[l] += ch.msgs.size();
         ch.msgs.clear();
       }
       if (merge_scratch_.empty()) continue;
@@ -126,10 +102,7 @@ void ShardedEngine::Deliver() {
     }
   }
   // Workers -> hub: same (time, lane, seq) merge across every lane.
-  if (pending_to_hub_.load(std::memory_order_relaxed) == 0) {
-    RecordBoundarySample(before);
-    return;
-  }
+  if (pending_to_hub_.load(std::memory_order_relaxed) == 0) return;
   pending_to_hub_.store(0, std::memory_order_relaxed);
   merge_scratch_.clear();
   for (std::size_t l = 0; l < to_hub_.size(); ++l) {
@@ -137,13 +110,9 @@ void ShardedEngine::Deliver() {
     if (ch.msgs.empty()) continue;
     merge_scratch_.insert(merge_scratch_.end(), ch.msgs.begin(),
                           ch.msgs.end());
-    lane_boundary_events_[l] += ch.msgs.size();
     ch.msgs.clear();
   }
-  if (merge_scratch_.empty()) {
-    RecordBoundarySample(before);
-    return;
-  }
+  if (merge_scratch_.empty()) return;
   std::stable_sort(merge_scratch_.begin(), merge_scratch_.end(),
                    [](const BoundaryEvent& a, const BoundaryEvent& b) {
                      return a.at < b.at;
@@ -158,18 +127,6 @@ void ShardedEngine::Deliver() {
     env.ScheduleAt(m.at, m.h);
   }
   boundary_events_ += merge_scratch_.size();
-  RecordBoundarySample(before);
-}
-
-void ShardedEngine::RecordBoundarySample(std::uint64_t before) {
-  const std::uint64_t delivered = boundary_events_ - before;
-  if (delivered == 0) return;
-  if (boundary_samples_.size() < kMaxIntrospectionSamples) {
-    boundary_samples_.push_back(
-        BoundarySample{hub().Now().nanos(), delivered});
-  } else {
-    ++introspection_dropped_;
-  }
 }
 
 void ShardedEngine::StartWorkers() {
@@ -304,8 +261,6 @@ void ShardedEngine::Run() {
     // every participant before the first wakeup). A worker participates
     // only when its head event fits under its cap; everyone else sleeps
     // through the round untouched.
-    TimePoint widest_cap;
-    bool any_unbounded = false;
     for (std::size_t k = 0; k < shards_; ++k) {
       participate_[k] = false;
       if (nexts_[k] == Environment::Never()) continue;  // idle: never woken
@@ -317,11 +272,6 @@ void ShardedEngine::Run() {
       participate_[k] = true;
       slots_[k]->cap = cap;
       ++participants;
-      if (cap == Environment::Never()) {
-        any_unbounded = true;
-      } else {
-        widest_cap = std::max(widest_cap, cap);
-      }
     }
     if (participants == 0) {
       throw std::logic_error(
@@ -329,15 +279,6 @@ void ShardedEngine::Run() {
           "invariant violated)");
     }
     worker_wakeups_ += participants;
-    if (window_samples_.size() < kMaxIntrospectionSamples) {
-      WindowSample ws;
-      ws.at_ns = worker_next.nanos();
-      ws.len_ns = any_unbounded ? -1 : (widest_cap - worker_next).nanos();
-      ws.participants = participants;
-      window_samples_.push_back(ws);
-    } else {
-      ++introspection_dropped_;
-    }
     remaining_.store(participants, std::memory_order_relaxed);
     // Pass 2: wake exactly the participants.
     for (std::size_t k = 0; k < shards_; ++k) {

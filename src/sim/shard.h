@@ -35,13 +35,11 @@
 //     hub instants and barrier rounds entirely.
 //
 // Boundary events cross shards through per-LANE FIFO channels. A lane is a
-// stable endpoint identity (the cluster uses one lane per server); the
-// constructor's lane_to_shard map assigns lanes to shards, defaulting to
-// the identity (lane k on shard k). Channels are drained between phases by
-// the engine thread and merged into the destination queue in (time, lane,
-// channel seq) order — a fixed total order that does NOT depend on how
-// lanes are packed onto shards, so the trajectory is independent of both
-// thread scheduling and the shard-assignment policy. With shards == 1 the
+// stable endpoint identity (the cluster uses one lane per server); lane l
+// lives on shard l % shards. Channels are drained between phases by the
+// engine thread and merged into the destination queue in (time, lane,
+// channel seq) order — a fixed total order that does not depend on thread
+// scheduling or on how many lanes share a shard. With shards == 1 the
 // engine owns a single Environment and Run() is literally Environment::Run:
 // byte-identical to the unsharded engine, which keeps golden tests pinned.
 //
@@ -71,14 +69,13 @@ class ShardedEngine {
   // router<->server network delay); it must be > 0 when shards > 1, and every
   // hop's latency must be >= it. With shards <= 1 it is ignored.
   //
-  // `lane_to_shard` maps boundary-lane identities onto worker shards (entry
-  // l is the shard that hosts lane l); empty means the identity map (one
-  // lane per shard). The cluster passes one lane per SERVER here, so the
-  // boundary merge order — (time, lane, seq) — is a property of the
-  // workload, not of the assignment policy.
+  // `lanes` is the number of boundary lanes (the cluster passes one per
+  // SERVER), raised to at least one per shard. Lane l lives on shard
+  // l % shards, so the boundary merge order — (time, lane, seq) — is a
+  // property of the workload, not of the shard count.
   explicit ShardedEngine(std::size_t shards,
                          Duration lookahead = Duration::Zero(),
-                         std::vector<std::size_t> lane_to_shard = {});
+                         std::size_t lanes = 0);
   ~ShardedEngine();
 
   ShardedEngine(const ShardedEngine&) = delete;
@@ -86,9 +83,6 @@ class ShardedEngine {
 
   std::size_t shards() const { return shards_; }
   bool sharded() const { return shards_ > 1; }
-  std::size_t lanes() const { return lane_to_shard_.size(); }
-  // The shard hosting lane l (identity when constructed without a map).
-  std::size_t lane_shard(std::size_t lane) const { return lane_to_shard_[lane]; }
 
   // The hub environment (shard 0: router, clients, cluster bookkeeping).
   Environment& hub() { return *envs_.front(); }
@@ -100,12 +94,10 @@ class ShardedEngine {
     return sharded() ? *envs_[k + 1] : *envs_.front();
   }
 
-  // The environment hosting lane l — shard_env(lane_shard(l)), or the hub
+  // The environment hosting lane l — shard_env(l % shards()), or the hub
   // when unsharded. This is what lane-owning objects (cluster servers)
   // should live on.
-  Environment& lane_env(std::size_t lane) {
-    return sharded() ? *envs_[lane_to_shard_[lane] + 1] : *envs_.front();
-  }
+  Environment& lane_env(std::size_t lane) { return shard_env(lane % shards_); }
 
   // Awaitable: move the running coroutine from the hub onto lane `l`'s
   // shard, resuming `latency` later on that shard's clock. Must be awaited
@@ -143,37 +135,15 @@ class ShardedEngine {
   // Events executed across all shards.
   std::uint64_t events_executed() const;
   // Events executed on shard k's environment alone (the hub excluded).
-  // With shards == 1 this is the whole run. Feed these back in as adaptive
-  // assignment weights, or ratio max/mean as an imbalance metric.
+  // With shards == 1 this is the whole run. Their max/mean ratio is the
+  // partition's imbalance.
   std::uint64_t shard_events(std::size_t k) const {
     return sharded() ? envs_[k + 1]->events_executed()
                      : envs_.front()->events_executed();
   }
-  // Boundary events that crossed lane l (both directions); a cheap measured
-  // proxy for how much traffic the lane's owner handled.
-  const std::vector<std::uint64_t>& lane_boundary_events() const {
-    return lane_boundary_events_;
-  }
 
   // --- introspection (wall-clock; NOT part of the deterministic trajectory,
   // so consumers must keep these out of byte-compared artifacts) ------------
-  // One record per parallel window round: when it opened (virtual time of
-  // the earliest participant event), how wide it was allowed to run (virtual
-  // span to the widest participant cap; -1 = a lone worker's unbounded
-  // window), and how many workers woke. Capped at kMaxIntrospectionSamples;
-  // overflow is counted, never silently dropped.
-  struct WindowSample {
-    std::int64_t at_ns = 0;
-    std::int64_t len_ns = -1;
-    std::uint32_t participants = 0;
-  };
-  // One record per channel drain that moved events: hub virtual time and
-  // how many boundary events were merged in that batch.
-  struct BoundarySample {
-    std::int64_t at_ns = 0;
-    std::uint64_t events = 0;
-  };
-  static constexpr std::size_t kMaxIntrospectionSamples = 1 << 16;
   // Wall time shard k spent executing window events, and wall time it spent
   // parked at the arrival barrier between windows. Read only after Run()
   // returns (the barrier's release/acquire pairs publish the counters).
@@ -185,15 +155,6 @@ class ShardedEngine {
   }
   std::uint64_t shard_windows_run(std::size_t k) const {
     return sharded() ? slots_[k]->windows_run : 0;
-  }
-  const std::vector<WindowSample>& window_samples() const {
-    return window_samples_;
-  }
-  const std::vector<BoundarySample>& boundary_samples() const {
-    return boundary_samples_;
-  }
-  std::uint64_t introspection_samples_dropped() const {
-    return introspection_dropped_;
   }
 
  private:
@@ -234,19 +195,14 @@ class ShardedEngine {
   void Send(std::size_t lane, bool to_hub, Duration latency,
             std::coroutine_handle<> h);
   void Deliver();  // drain all channels into destination queues
-  // Record one boundary-traffic sample covering everything a Deliver call
-  // merged (`before` is boundary_events_ at its entry). No-op when nothing
-  // crossed.
-  void RecordBoundarySample(std::uint64_t before);
   void StartWorkers();
   void StopWorkers();
   void WorkerMain(std::size_t k, std::uint64_t seen_phase);
 
   std::size_t shards_;
   Duration lookahead_;
-  std::vector<std::size_t> lane_to_shard_;
-  std::vector<std::vector<std::size_t>> shard_lanes_;  // inverse, lane-sorted
   std::vector<std::unique_ptr<Environment>> envs_;  // [hub, worker 0..N-1]
+  // One channel per lane and direction; lane l lives on shard l % shards_.
   std::vector<Channel> to_shard_;  // hub -> lane l, written by engine thread
   std::vector<Channel> to_hub_;    // lane l -> hub, written by l's worker
   std::vector<BoundaryEvent> merge_scratch_;
@@ -273,10 +229,6 @@ class ShardedEngine {
   std::uint64_t hub_instants_ = 0;
   std::uint64_t boundary_events_ = 0;
   std::uint64_t worker_wakeups_ = 0;
-  std::vector<std::uint64_t> lane_boundary_events_;
-  std::vector<WindowSample> window_samples_;      // engine thread only
-  std::vector<BoundarySample> boundary_samples_;  // engine thread only
-  std::uint64_t introspection_dropped_ = 0;
 
   // Scratch for Run()'s per-window scan (avoids per-iteration allocation).
   std::vector<TimePoint> nexts_;

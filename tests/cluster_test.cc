@@ -487,17 +487,6 @@ TEST(ClusterTest, ShardedModeRejectsUnpartitionableState) {
     EXPECT_NE(msg.find("kCapacityFault"), std::string::npos) << msg;
     EXPECT_NE(msg.find("CapacityLoss"), std::string::npos) << msg;
   }
-  // Adaptive assignment with a wrong-sized weight vector names the option.
-  serving::ClusterOptions weights = SmallCluster(4);
-  weights.shards = 2;
-  weights.assignment = serving::ShardAssignment::kAdaptive;
-  weights.server_weights = {1.0, 2.0};  // 2 weights, 4 servers
-  {
-    const std::string msg =
-        ConstructionError([&] { serving::Cluster cluster(weights); });
-    EXPECT_NE(msg.find("ClusterOptions::server_weights"), std::string::npos)
-        << msg;
-  }
   // Both rejected configurations are fine unsharded.
   no_delay.shards = 1;
   cap.shards = 1;

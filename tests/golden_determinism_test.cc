@@ -275,8 +275,6 @@ TEST(GoldenDeterminismTest, ClusterMatchesGoldenAndReplays) {
 
 GoldenClusterRun RunShardedClusterWorkload(
     std::size_t shards,
-    serving::ShardAssignment assignment = serving::ShardAssignment::kStatic,
-    std::vector<double> weights = {},
     fault::PartitionDirection partition = fault::PartitionDirection::kToServer,
     bool failover = true) {
   serving::ClusterOptions opts;
@@ -285,8 +283,6 @@ GoldenClusterRun RunShardedClusterWorkload(
   opts.server.pool_threads = 100;
   opts.seed = 11;
   opts.shards = shards;
-  opts.assignment = assignment;
-  opts.server_weights = std::move(weights);
   opts.router.failover = failover;
   opts.faults.Crash(sim::TimePoint() + sim::Duration::Millis(100),
                     sim::Duration::Millis(400), /*server=*/0);
@@ -373,9 +369,7 @@ TEST(GoldenDeterminismTest, ShardedLostLegsAndBudgetedRetriesMatchUnsharded) {
                                  : "kToServer") +
                  (sc.failover ? " failover" : " no-failover"));
     const auto run = [&](std::size_t shards) {
-      return RunShardedClusterWorkload(
-          shards, serving::ShardAssignment::kStatic, {}, sc.partition,
-          sc.failover);
+      return RunShardedClusterWorkload(shards, sc.partition, sc.failover);
     };
     const GoldenClusterRun seq = run(1);
     // The scenario must actually take the branch it claims to cover.
@@ -394,37 +388,6 @@ TEST(GoldenDeterminismTest, ShardedLostLegsAndBudgetedRetriesMatchUnsharded) {
     EXPECT_EQ(run(2), seq) << "2-shard run diverged from the single queue";
     EXPECT_EQ(run(4), seq) << "4-shard run diverged from the single queue";
   }
-}
-
-TEST(GoldenDeterminismTest, ShardedAdaptiveAssignmentReplaysStaticTrajectory) {
-  // Skewed measured weights pack the servers differently from s % shards —
-  // the boundary merge order is per-lane (per-server), so the trajectory
-  // must not move by a nanosecond at either shard count.
-  const std::vector<double> kWeights{5.0, 1.0, 4.0, 2.0};
-  const GoldenClusterRun seq = RunShardedClusterWorkload(1);
-  const GoldenClusterRun adaptive2 = RunShardedClusterWorkload(
-      2, serving::ShardAssignment::kAdaptive, kWeights);
-  const GoldenClusterRun adaptive4 = RunShardedClusterWorkload(
-      4, serving::ShardAssignment::kAdaptive, kWeights);
-  EXPECT_EQ(adaptive2, seq)
-      << "adaptive assignment at shards=2 diverged from the static "
-         "trajectory";
-  EXPECT_EQ(adaptive4, seq)
-      << "adaptive assignment at shards=4 diverged from the static "
-         "trajectory";
-  // Sanity: the weights above actually change the shards=2 packing versus
-  // s % shards (greedy: server 0 -> shard 0, server 2 -> shard 1, server 3
-  // -> shard 1, server 1 -> shard 0), so the pin is not vacuous.
-  serving::ClusterOptions opts;
-  opts.num_servers = 4;
-  opts.shards = 2;
-  opts.assignment = serving::ShardAssignment::kAdaptive;
-  opts.server_weights = kWeights;
-  serving::Cluster probe(opts);
-  EXPECT_EQ(probe.engine().lane_shard(0), 0u);
-  EXPECT_EQ(probe.engine().lane_shard(1), 0u);
-  EXPECT_EQ(probe.engine().lane_shard(2), 1u);
-  EXPECT_EQ(probe.engine().lane_shard(3), 1u);
 }
 
 // Sharded observability: a cluster run with a server-side tracer AND a

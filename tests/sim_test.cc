@@ -734,27 +734,37 @@ TEST(ShardedEngineTest, HopLatencyBelowLookaheadThrows) {
 }
 
 TEST(ShardedEngineTest, BoundaryMergeOrderIsTimeThenShardThenSeq) {
-  // Two shards send same-instant messages to the hub; the hub must observe
-  // them in (time, shard, seq) order no matter the thread interleaving.
-  ShardedEngine engine(2, Duration::Micros(10));
-  std::vector<int> order;
-  for (int shard = 1; shard >= 0; --shard) {  // spawn in REVERSE shard order
-    for (int i = 0; i < 2; ++i) {
-      engine.shard_env(static_cast<std::size_t>(shard))
-          .Spawn([](ShardedEngine& eng, int sh, int idx,
-                    std::vector<int>& out) -> Task {
-            co_await eng.shard_env(static_cast<std::size_t>(sh))
-                .Delay(Duration::Millis(1));
-            co_await eng.HopToHub(static_cast<std::size_t>(sh),
-                                  Duration::Micros(10));
-            out.push_back(sh * 10 + idx);
-          }(engine, shard, i, order));
+  // Every lane sends two same-instant messages to the hub; the hub must
+  // observe them in (time, lane, seq) order no matter the thread
+  // interleaving. With one lane per shard lane order is shard order; with
+  // 4 lanes on 2 shards (lanes 0 and 2 on shard 0, lanes 1 and 3 on
+  // shard 1) the hub must see lanes 0, 1, 2, 3, not shard order 0, 2, 1, 3.
+  struct Layout {
+    std::size_t shards;
+    std::size_t lanes;
+    std::vector<int> want;
+  };
+  for (const Layout& layout :
+       {Layout{2, 2, {0, 1, 10, 11}},
+        Layout{2, 4, {0, 1, 10, 11, 20, 21, 30, 31}}}) {
+    SCOPED_TRACE("lanes=" + std::to_string(layout.lanes));
+    ShardedEngine engine(layout.shards, Duration::Micros(10), layout.lanes);
+    std::vector<int> order;
+    for (std::size_t lane = layout.lanes; lane-- > 0;) {  // REVERSE order
+      for (int i = 0; i < 2; ++i) {
+        engine.lane_env(lane).Spawn([](ShardedEngine& eng, std::size_t l,
+                                       int idx, std::vector<int>& out) -> Task {
+          co_await eng.lane_env(l).Delay(Duration::Millis(1));
+          co_await eng.HopToHub(l, Duration::Micros(10));
+          out.push_back(static_cast<int>(l) * 10 + idx);
+        }(engine, lane, i, order));
+      }
     }
+    engine.Run();
+    // All messages arrive at the same hub instant: ascending lane, and
+    // within a lane, send (seq) order.
+    EXPECT_EQ(order, layout.want);
   }
-  engine.Run();
-  // All four arrive at the same hub instant: shard 0 before shard 1, and
-  // within a shard, send (seq) order.
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11}));
 }
 
 }  // namespace
