@@ -39,7 +39,8 @@ int Batcher::PadToAllowed(int items) const {
 
 sim::Task Batcher::Infer(sim::Duration* latency, metrics::PhaseAccount* pa) {
   if (closed_) throw std::logic_error("Infer after Close");
-  Request req{env_.Now(), false, pa};
+  Request req{env_.Now()};
+  req.pa = pa != nullptr ? pa : &req.own;
   pending_.push_back(&req);
   wake_.NotifyAll();
   while (!req.done) co_await done_cv_.Wait();
@@ -87,27 +88,17 @@ sim::Task Batcher::Dispatcher() {
     // close; the run interval below is split into GPU residency vs. queueing.
     // Completion (and each waiter's resume) happens at the same virtual
     // instant as the charges below, so the phase-sum identity holds.
-    bool any_accounted = false;
     for (Request* r : batch) {
-      if (r->pa != nullptr) {
-        r->pa->Charge(metrics::Phase::kBatcherWait, env_.Now());
-        any_accounted = true;
-      }
+      r->pa->Charge(metrics::Phase::kBatcherWait, env_.Now());
     }
     const sim::Duration gpu_before =
-        any_accounted
-            ? exp_.gpu(options_.gpu_index).JobGpuDuration(ctx_.job)
-            : sim::Duration::Zero();
+        exp_.gpu(options_.gpu_index).JobGpuDuration(ctx_.job);
     co_await exp_.executor(options_.gpu_index).RunOnce(ctx_, graph_);
-    if (any_accounted) {
-      const sim::Duration compute =
-          exp_.gpu(options_.gpu_index).JobGpuDuration(ctx_.job) - gpu_before;
-      for (Request* r : batch) {
-        if (r->pa != nullptr) {
-          r->pa->SplitCharge(metrics::Phase::kGpuCompute, compute,
-                             metrics::Phase::kGpuQueue, env_.Now());
-        }
-      }
+    const sim::Duration compute =
+        exp_.gpu(options_.gpu_index).JobGpuDuration(ctx_.job) - gpu_before;
+    for (Request* r : batch) {
+      r->pa->SplitCharge(metrics::Phase::kGpuCompute, compute,
+                         metrics::Phase::kGpuQueue, env_.Now());
     }
 
     ++batches_executed_;

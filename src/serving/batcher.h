@@ -47,9 +47,10 @@ class Batcher {
 
   // Awaitable: submit one item and resume when its batch's run completes.
   // Returns (via out-param) the request latency. Must not be called after
-  // Close(). When `pa` is set, the time from submission to batch execution
-  // is charged to kBatcherWait and the run itself is split into
-  // kGpuCompute / kGpuQueue, preserving the phase-sum identity.
+  // Close(). The time from submission to batch execution is charged to
+  // kBatcherWait and the run itself is split into kGpuCompute / kGpuQueue,
+  // preserving the phase-sum identity: on `pa` when given, else on an
+  // account the request owns and drops.
   sim::Task Infer(sim::Duration* latency = nullptr,
                   metrics::PhaseAccount* pa = nullptr);
 
@@ -67,7 +68,8 @@ class Batcher {
   struct Request {
     sim::TimePoint arrival;
     bool done = false;
-    metrics::PhaseAccount* pa = nullptr;
+    metrics::PhaseAccount* pa = nullptr;  // the caller's account, or `own`
+    metrics::PhaseAccount own;
   };
 
   sim::Task Dispatcher();

@@ -314,15 +314,11 @@ sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
   // be a bare yield through the queue.
   const bool hops = ro.net_delay > sim::Duration::Zero();
   metrics::IncidentLog* const ilog = options_.incidents;
-  metrics::PhaseAccount account;
-  metrics::PhaseAccount* const pa =
-      options_.phases != nullptr ? &account : nullptr;
-  if (pa != nullptr) {
-    pa->Start(arrival);
-    // An arrival that found its predecessor still in flight queued at the
-    // front end; that wait is pre-routing time.
-    pa->Charge(metrics::Phase::kRouterQueue, env_.Now());
-  }
+  metrics::PhaseAccount pa;
+  pa.Start(arrival);
+  // An arrival that found its predecessor still in flight queued at the
+  // front end; that wait is pre-routing time.
+  pa.Charge(metrics::Phase::kRouterQueue, env_.Now());
   std::size_t served = home;  // the last server routed to
   // Brownout admission control sheds a class at the front door, before any
   // routing or network cost (load it cannot carry is exactly what the
@@ -339,9 +335,9 @@ sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
       ++(shed ? counters_.requests_shed_brownout
               : counters_.requests_rejected_no_server);
       status = RequestStatus::kRejected;
-      if (pa != nullptr) pa->Charge(metrics::Phase::kAdmission, env_.Now());
-      co_await env_.Delay(ro.retry_backoff);
-      if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
+      pa.Charge(metrics::Phase::kAdmission, env_.Now());
+      co_await env_.Delay(kRejectBackoff);
+      pa.Charge(metrics::Phase::kBackoff, env_.Now());
       break;
     }
     served = s;
@@ -359,11 +355,9 @@ sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
     if (hops && lost_to) co_await env_.Delay(forward);
     // Lane s is server s.
     if (hops && !lost_to) co_await engine_.HopToShard(s, forward);
-    if (pa != nullptr) {
-      pa->Charge(failing_over ? metrics::Phase::kFailoverReadmit
-                              : metrics::Phase::kRouterHop,
-                 lost_to ? env_.Now() : senv.Now());
-    }
+    pa.Charge(failing_over ? metrics::Phase::kFailoverReadmit
+                           : metrics::Phase::kRouterHop,
+              lost_to ? env_.Now() : senv.Now());
     failing_over = false;
 
     // The leg's outcome; a lost message or a failed tenant instantiation
@@ -378,7 +372,7 @@ sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
       ++counters_.requests_lost_to_server;
       co_await env_.Delay(ro.probe_timeout);
       // Waiting out the missing ack is network blame, like the hop itself.
-      if (pa != nullptr) pa->Charge(metrics::Phase::kRouterHop, env_.Now());
+      pa.Charge(metrics::Phase::kRouterHop, env_.Now());
       router_->OnRequestEnd(s);
       router_->OnRequestError(s);
       server_fault = true;
@@ -392,7 +386,7 @@ sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
         // First arrival on a non-home server streams parameters and warms
         // up.
         co_await EnsureTenant(s, client, spec, tenant, tenant_ok);
-        if (pa != nullptr) pa->Charge(metrics::Phase::kReload, senv.Now());
+        pa.Charge(metrics::Phase::kReload, senv.Now());
         if (tenant_ok) {
           // Serve through the full in-server pipeline (admission control,
           // breaker, device placement, retries, device failover). The
@@ -420,7 +414,7 @@ sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
                                   ro.net_delay * JitterFactor(s, senv.Now()));
       }
       if (err != nullptr) std::rethrow_exception(err);
-      if (pa != nullptr) pa->Charge(metrics::Phase::kResponseHop, env_.Now());
+      pa.Charge(metrics::Phase::kResponseHop, env_.Now());
       router_->OnRequestEnd(s);
       if (lost_from) {
         // At-least-once: the work happened but the answer is gone.
@@ -458,20 +452,22 @@ sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
       }
       continue;
     }
-    if (attempt > ro.max_retries) {
-      status = leg;
+    if (attempt > kRouterMaxRetries) {
+      // The budget is spent, whatever the last leg's status (a shed leg
+      // reads kRejected): the request failed.
+      status = RequestStatus::kFailed;
       ++counters_.requests_failed;
       break;
     }
     ++counters_.retries;
     ++attempt;
-    co_await env_.Delay(ro.retry_backoff);
-    if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
+    co_await env_.Delay(kRejectBackoff);
+    pa.Charge(metrics::Phase::kBackoff, env_.Now());
   }
   // Every exit from the loop lands here, on the hub, with `status` final.
   const bool ok = Succeeded(status);
-  if (pa != nullptr) {
-    options_.phases->Record(static_cast<int>(served), spec.model, account, ok,
+  if (options_.phases != nullptr) {
+    options_.phases->Record(static_cast<int>(served), spec.model, pa, ok,
                             env_.Now() - arrival);
   }
   if (ilog != nullptr) {

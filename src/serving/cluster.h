@@ -55,8 +55,8 @@ struct ClusterOptions {
   fault::ServerFaultPlan faults;
   // Router counters + per-server health series land here (may be null).
   metrics::MetricRegistry* registry = nullptr;
-  // Latency anatomy. Both may be null (the default): every charge site is
-  // pointer-guarded, so a disabled run pays nothing on the hot path. The
+  // Latency anatomy. Every request keeps its phase account; both sinks may
+  // be null (the default), which skips only the fold into them. The
   // collector and the incident log are fed hub-side only, in virtual-time
   // order, so their exports are byte-identical at any shard count.
   metrics::PhaseCollector* phases = nullptr;

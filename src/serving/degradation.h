@@ -76,9 +76,11 @@ struct DegradationOptions {
   // (busy + queued over pool size). A new request arriving at or above the
   // watermark is rejected instead of stalling the server; 0 disables.
   double admission_watermark = 0.0;
-  // Client-side delay after a rejected request before it issues its next
-  // one (prevents a zero-virtual-time reject spin).
-  sim::Duration reject_backoff = sim::Duration::Millis(5);
 };
+
+// Flat wait after a rejection, or before re-trying an admission that could
+// not start, in both the server and the router (prevents a zero-virtual-time
+// reject spin).
+inline constexpr sim::Duration kRejectBackoff = sim::Duration::Millis(5);
 
 }  // namespace olympian::serving

@@ -13,6 +13,12 @@
 
 namespace olympian::serving {
 
+// The router's client retry budget for genuine failures: a request gives up
+// as kFailed once this many budgeted retries have failed too. Failover
+// re-admissions are free, mirroring the device-failover contract; each
+// budgeted retry waits kRejectBackoff.
+inline constexpr int kRouterMaxRetries = 2;
+
 struct RouterOptions {
   // Health-aware routing with cross-server failover. Off = static pin: every
   // request of a client goes to its home server no matter what (the
@@ -31,10 +37,6 @@ struct RouterOptions {
   // How long the router waits on an unanswered probe or a request lost to a
   // partition before declaring the attempt failed.
   sim::Duration probe_timeout = sim::Duration::Millis(10);
-  // Client retry budget for genuine failures (failover re-admissions are
-  // free, mirroring the device-failover contract).
-  int max_retries = 2;
-  sim::Duration retry_backoff = sim::Duration::Millis(5);
   // Gray-failure detection: continuous health scoring from probe RTTs.
   // When enabled, hysteresis thresholds own the healthy <-> degraded
   // transitions (the legacy one-error degrade and success-clears edges are

@@ -152,29 +152,22 @@ sim::Task Experiment::ClientProc(std::size_t client, std::uint64_t seed,
       arrival = env_.Now();
     }
     RequestStatus status = RequestStatus::kOk;
-    metrics::PhaseAccount* pa = nullptr;
-    if (phases != nullptr) {
-      pa = &account;
-      pa->Start(arrival);
-      // An open-loop request that arrived while its predecessor was in
-      // flight queued at the client; that wait is pre-admission time.
-      pa->Charge(metrics::Phase::kAdmission, env_.Now());
-    }
-    co_await ServeTenantRequest(client, rng, arrival, status, pa);
+    account.Start(arrival);
+    // An open-loop request that arrived while its predecessor was in flight
+    // queued at the client; that wait is pre-admission time.
+    account.Charge(metrics::Phase::kAdmission, env_.Now());
+    co_await ServeTenantRequest(client, rng, arrival, status, account);
     out.request_latency_ms.push_back((env_.Now() - arrival).millis());
     out.request_status.push_back(status);
+    const bool ok = status == RequestStatus::kOk ||
+                    status == RequestStatus::kFailedRetried;
     if (phases != nullptr) {
-      const bool ok = status == RequestStatus::kOk ||
-                      status == RequestStatus::kFailedRetried;
       phases->Record(-1, spec.model, account, ok, env_.Now() - arrival);
     }
     if (latency_hist != nullptr) {
       latency_hist->Observe(out.request_latency_ms.back());
     }
-    if (status == RequestStatus::kOk ||
-        status == RequestStatus::kFailedRetried) {
-      ++out.batches_completed;
-    }
+    if (ok) ++out.batches_completed;
   }
   out.finish_time = env_.Now() - sim::TimePoint();
   out.gpu_duration = RetireTenant(client);
@@ -195,7 +188,7 @@ CircuitBreaker* Experiment::BreakerFor(const std::string& model) {
 sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
                                          sim::TimePoint arrival,
                                          RequestStatus& status,
-                                         metrics::PhaseAccount* pa) {
+                                         metrics::PhaseAccount& pa) {
   // Tenants live in a deque, so this reference survives AddTenant calls
   // made while the request is suspended.
   const Tenant& t = tenants_.at(tenant);
@@ -225,18 +218,17 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
     }
   };
 
-  // Latency anatomy: when `pa` is set, every interval between awaits below
-  // is charged to exactly one phase, so the account's cursor equals the
-  // current instant at every co_return — the phase sum matches end-to-end
-  // latency bit-exactly by construction. All charges are `if (pa)`-guarded;
-  // a null account costs one predictable branch per site.
+  // Latency anatomy: every interval between awaits below is charged to
+  // exactly one phase, so the account's cursor equals the current instant
+  // at every co_return — the phase sum matches end-to-end latency
+  // bit-exactly by construction.
   bool failing_over = false;  // last attempt ended in failover re-admission
   for (int attempt = 1;;) {
     if (has_deadline && env_.Now() >= deadline) {
       status = RequestStatus::kTimedOut;
       ++counters_.requests_timed_out;
       end_flow("deadline");
-      if (pa != nullptr) pa->Charge(metrics::Phase::kAdmission, env_.Now());
+      pa.Charge(metrics::Phase::kAdmission, env_.Now());
       co_return;
     }
     // Admission: the pool watermark, the breaker, then (under failover)
@@ -265,27 +257,23 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
       ++counters_.requests_rejected;
       status = RequestStatus::kRejected;
       end_flow("rejected");
-      if (pa != nullptr) pa->Charge(metrics::Phase::kAdmission, env_.Now());
-      co_await env_.Delay(deg.reject_backoff);
-      if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
+      pa.Charge(metrics::Phase::kAdmission, env_.Now());
+      co_await env_.Delay(kRejectBackoff);
+      pa.Charge(metrics::Phase::kBackoff, env_.Now());
       co_return;
     }
 
     graph::JobContext* ctx = t.ctx;
     if (failover) {
       bool replica_ok = true;
-      if (pa != nullptr) {
-        pa->Charge(metrics::Phase::kPlacerDecision, env_.Now());
-      }
+      pa.Charge(metrics::Phase::kPlacerDecision, env_.Now());
       co_await EnsureReplica(tenant, gpu_index, replica_ok);
-      if (pa != nullptr) {
-        // Reload/warm-up wait, unless this admission is a failover re-entry
-        // — then the whole leg is blamed on the failover.
-        pa->Charge(failing_over ? metrics::Phase::kFailoverReadmit
-                                : metrics::Phase::kReload,
-                   env_.Now());
-        failing_over = false;
-      }
+      // Reload/warm-up wait, unless this admission is a failover re-entry —
+      // then the whole leg is blamed on the failover.
+      pa.Charge(failing_over ? metrics::Phase::kFailoverReadmit
+                             : metrics::Phase::kReload,
+                env_.Now());
+      failing_over = false;
       if (!replica_ok) {
         ++counters_.transient_alloc_failures;
         // Fall through to the failure path below as a retryable transient.
@@ -301,8 +289,8 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
         ++counters_.retries;
         ++attempt;
         hop_detail = "retry";
-        co_await env_.Delay(deg.reject_backoff);
-        if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
+        co_await env_.Delay(kRejectBackoff);
+        pa.Charge(metrics::Phase::kBackoff, env_.Now());
         continue;
       }
       ctx = ClientContext(tenant, gpu_index);
@@ -314,8 +302,8 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
         // A draining hedge of a previous request still owns this context;
         // let it finish (it was cancelled, so it drains fast).
         hop_detail = "reroute";
-        co_await env_.Delay(deg.reject_backoff);
-        if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
+        co_await env_.Delay(kRejectBackoff);
+        pa.Charge(metrics::Phase::kBackoff, env_.Now());
         continue;
       }
     }
@@ -388,9 +376,7 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
         } else {
           // Primary failed: the hedge verdict decides the request.
           while (!hedge->done) co_await hedge->cv.Wait();
-          if (pa != nullptr) {
-            pa->Charge(metrics::Phase::kHedgeOverhead, env_.Now());
-          }
+          pa.Charge(metrics::Phase::kHedgeOverhead, env_.Now());
           if (hedge->won) {
             ++counters_.hedge_wins;
             failed = false;
@@ -464,7 +450,7 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
                      ? graph::ToString(reason)
                      : "retry";
     co_await env_.Delay(backoff);
-    if (pa != nullptr) pa->Charge(metrics::Phase::kBackoff, env_.Now());
+    pa.Charge(metrics::Phase::kBackoff, env_.Now());
   }
 }
 
@@ -597,9 +583,12 @@ sim::Task Experiment::HedgeProc(std::size_t tenant, std::size_t gpu,
   st->token = &token;
   st->ctx = ctx;
   st->gpu = gpu;
+  // The primary blames its wait on this leg as kHedgeOverhead, so the leg's
+  // own account is never recorded.
+  metrics::PhaseAccount unrecorded;
   co_await RunLeg(*ctx, *tenants_[tenant].graph, gpu, token,
                   metrics::TraceContext{st->request_id, st->attempt, true},
-                  nullptr);
+                  unrecorded);
   st->token = nullptr;
   st->won = !token.cancelled;
   st->done = true;
@@ -609,7 +598,7 @@ sim::Task Experiment::HedgeProc(std::size_t tenant, std::size_t gpu,
 sim::Task Experiment::RunLeg(graph::JobContext& ctx, const graph::Graph& g,
                              std::size_t gpu, graph::CancelToken& token,
                              metrics::TraceContext trace,
-                             metrics::PhaseAccount* pa) {
+                             metrics::PhaseAccount& pa) {
   // Stamp the causal identity for this admission; the executor renders it
   // as an attempt span.
   ctx.trace = trace;
@@ -619,17 +608,13 @@ sim::Task Experiment::RunLeg(graph::JobContext& ctx, const graph::Graph& g,
     placer_->OnRequestStart(gpu);
     RegisterInFlight(gpu, &token, &ctx);
   }
-  const sim::Duration gpu_before = pa != nullptr
-                                       ? gpus_[gpu]->JobGpuDuration(ctx.job)
-                                       : sim::Duration::Zero();
+  const sim::Duration gpu_before = gpus_[gpu]->JobGpuDuration(ctx.job);
   co_await executor(gpu).RunOnce(ctx, g);
-  if (pa != nullptr) {
-    // Split the run interval into measured GPU residency (compute) and
-    // everything else — pool queueing, scheduler token waits (queue).
-    pa->SplitCharge(metrics::Phase::kGpuCompute,
-                    gpus_[gpu]->JobGpuDuration(ctx.job) - gpu_before,
-                    metrics::Phase::kGpuQueue, env_.Now());
-  }
+  // Split the run interval into measured GPU residency (compute) and
+  // everything else — pool queueing, scheduler token waits (queue).
+  pa.SplitCharge(metrics::Phase::kGpuCompute,
+                 gpus_[gpu]->JobGpuDuration(ctx.job) - gpu_before,
+                 metrics::Phase::kGpuQueue, env_.Now());
   token.finished = true;
   ctx.cancel = nullptr;
   if (placer_ != nullptr) {

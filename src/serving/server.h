@@ -71,12 +71,12 @@ struct ObservabilityOptions {
   // state, and scheduler token occupancy (via SchedulingHooks::OnSample).
   // Zero disables the sampler; counters and histograms still flow.
   sim::Duration sample_interval = sim::Duration::Zero();
-  // Latency anatomy: when set, every request carries a PhaseAccount that
-  // charges its whole lifetime to the closed Phase taxonomy (phase sum ==
-  // end-to-end latency bit-exactly in virtual time), folded per
-  // (server, model) into this collector after each request. Owned by the
-  // caller; must outlive Run. Null (the default) skips all charging — the
-  // request path stays branch-plus-nothing.
+  // Latency anatomy: every request carries a PhaseAccount that charges its
+  // whole lifetime to the closed Phase taxonomy (phase sum == end-to-end
+  // latency bit-exactly in virtual time). When set, each finished account
+  // is folded per (server, model) into this collector. Owned by the caller;
+  // must outlive Run. Null (the default) skips only the fold: a charge is
+  // one subtraction and store, so the account is always kept.
   metrics::PhaseCollector* phases = nullptr;
 };
 
@@ -233,12 +233,13 @@ class Experiment : private HealthObserver {
   // the tenant index.
   std::size_t AddTenant(const ClientSpec& spec);
   // One request of tenant `tenant`. `arrival` anchors the deadline;
-  // `status` receives the terminal outcome. `phases` (optional) continues
-  // the request's latency-anatomy account — the cluster charges the
-  // router-side phases, this call charges the server-side ones.
+  // `status` receives the terminal outcome. `phases` is the request's
+  // latency-anatomy account, started by the caller and charged here with
+  // the server-side phases up to the return instant (the cluster charges
+  // the router-side ones around this call).
   sim::Task ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
                                sim::TimePoint arrival, RequestStatus& status,
-                               metrics::PhaseAccount* phases = nullptr);
+                               metrics::PhaseAccount& phases);
   // Fold the meters of every context the tenant ran on into the retired
   // table (call when its client finishes); returns their summed GPU
   // duration.
@@ -301,7 +302,7 @@ class Experiment : private HealthObserver {
   // and the hedge; `token` must outlive the leg.
   sim::Task RunLeg(graph::JobContext& ctx, const graph::Graph& g,
                    std::size_t gpu, graph::CancelToken& token,
-                   metrics::TraceContext trace, metrics::PhaseAccount* pa);
+                   metrics::TraceContext trace, metrics::PhaseAccount& pa);
   // Fires at `deadline`; cancels the run if it is still in flight. Holds a
   // shared_ptr so a watchdog outliving its request cannot dangle.
   sim::Task DeadlineWatchdog(std::shared_ptr<graph::CancelToken> token,

@@ -331,6 +331,62 @@ TEST(ClusterTest, StaticRoutingBaselineDegradesUnderCrash) {
   }
 }
 
+// Every terminal status is counted by exactly one RouterCounters outcome.
+void ExpectRouterCountersMatchStatuses(
+    const serving::Cluster& cluster,
+    const std::vector<serving::ClusterClientResult>& results) {
+  using serving::RequestStatus;
+  const metrics::RouterCounters& c = cluster.counters();
+  EXPECT_EQ(c.requests_ok,
+            static_cast<std::uint64_t>(
+                CountAll(results, RequestStatus::kOk) +
+                CountAll(results, RequestStatus::kFailedRetried)));
+  EXPECT_EQ(c.requests_failed, static_cast<std::uint64_t>(
+                                   CountAll(results, RequestStatus::kFailed)));
+  EXPECT_EQ(c.requests_timed_out,
+            static_cast<std::uint64_t>(
+                CountAll(results, RequestStatus::kTimedOut)));
+  EXPECT_EQ(c.requests_rejected_no_server + c.requests_shed_brownout,
+            static_cast<std::uint64_t>(
+                CountAll(results, RequestStatus::kRejected)));
+}
+
+TEST(ClusterTest, RouterCountersMatchPerRequestStatuses) {
+  {
+    SCOPED_TRACE("watermark shed on the last budgeted leg");
+    // A near-zero admission watermark makes each server shed while its
+    // devices stay usable, so the router spends its retry budget on those
+    // rejections and gives up: the request exhausted its budget (kFailed),
+    // whatever the last leg's status was.
+    serving::ClusterOptions opts = SmallCluster(2);
+    opts.server.pool_threads = 20;
+    opts.server.degradation.admission_watermark = 0.05;
+    opts.seed = 3;
+    serving::Cluster cluster(opts);
+    const auto results = cluster.Run(std::vector<serving::ClusterClientSpec>(
+        8, PoissonClient("googlenet", 400.0, 6)));
+    EXPECT_GT(cluster.counters().requests_failed, 0u);
+    ExpectRouterCountersMatchStatuses(cluster, results);
+  }
+  {
+    SCOPED_TRACE("lost responses and a crash, failover off");
+    // Budgeted retries after lost responses and after a crashed server's
+    // rejections, with no free failover to absorb them.
+    serving::ClusterOptions opts = SmallCluster(4);
+    opts.seed = 11;
+    opts.router.failover = false;
+    opts.faults.Crash(At(100), Duration::Millis(400), /*server=*/0);
+    opts.faults.Partition(At(300), Duration::Millis(300), /*server=*/2,
+                          fault::PartitionDirection::kFromServer);
+    serving::Cluster cluster(opts);
+    const auto results = cluster.Run(std::vector<serving::ClusterClientSpec>(
+        8, PoissonClient("googlenet", 120.0, 5)));
+    EXPECT_GT(cluster.counters().responses_lost_from_server, 0u);
+    EXPECT_GT(cluster.counters().requests_failed, 0u);
+    ExpectRouterCountersMatchStatuses(cluster, results);
+  }
+}
+
 TEST(ClusterTest, PartitionDropsTrafficThenFailsOver) {
   serving::ClusterOptions opts = SmallCluster(2);
   // A request is ~140ms at this sim's scale, so the window must span

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -348,22 +349,53 @@ TEST(GoldenDeterminismTest, ShardedClusterWithTwoShardsMatchesToo) {
   EXPECT_EQ(par, seq);
 }
 
+// The single-queue trajectory of one lost-legs scenario: per-client finish
+// times and every RouterCounters field in Fields() order.
+struct GoldenLostLegs {
+  std::vector<std::int64_t> finish_ns;
+  std::vector<std::uint64_t> router;
+};
+
+// Recorded at the commit before the request paths' phase accounts became
+// unconditional; one entry per scenario below, in order.
+const GoldenLostLegs kGoldenLostLegs[] = {
+    {{939886929LL, 823968487LL, 1014371028LL, 838297368LL, 1066314053LL,
+      819253831LL, 1116691957LL, 839891368LL},
+     {1ULL, 0ULL, 1ULL, 0ULL, 0ULL, 46ULL, 40ULL, 0ULL, 0ULL, 0ULL, 6ULL, 0ULL,
+      0ULL, 4ULL, 206ULL, 24ULL, 8ULL, 2ULL, 2ULL, 5ULL, 0ULL, 0ULL, 0ULL, 0ULL,
+      0ULL}},
+    {{230800187LL, 691715372LL, 1010923637LL, 733307371LL, 230800267LL,
+      693513868LL, 1009387973LL, 733191152LL},
+     {1ULL, 0ULL, 1ULL, 0ULL, 0ULL, 64ULL, 30ULL, 10ULL, 0ULL, 0ULL, 0ULL,
+      24ULL, 0ULL, 4ULL, 184ULL, 24ULL, 8ULL, 2ULL, 2ULL, 0ULL, 0ULL, 0ULL,
+      0ULL, 0ULL, 0ULL}},
+    {{230800187LL, 691715372LL, 509375448LL, 733307371LL, 230800267LL,
+      693513868LL, 509909840LL, 733191152LL},
+     {1ULL, 0ULL, 1ULL, 0ULL, 0ULL, 68ULL, 26ULL, 14ULL, 0ULL, 0ULL, 0ULL,
+      28ULL, 12ULL, 0ULL, 130ULL, 24ULL, 8ULL, 2ULL, 2ULL, 0ULL, 0ULL, 0ULL,
+      0ULL, 0ULL, 0ULL}},
+};
+
 TEST(GoldenDeterminismTest, ShardedLostLegsAndBudgetedRetriesMatchUnsharded) {
   // The lost-response branch (kFromServer: the work ran, the answer is
   // dropped) and the budgeted-retry branches taken with failover off — after
   // a lost request, a lost response, or a crashed server's rejection — must
-  // replay the single-queue trajectory at every shard count. (With failover
-  // off every leg is pinned to its racked home tenant, so the tenant-
-  // instantiation failure branch cannot fire here; the cluster_test alloc-
-  // fault case covers it.)
+  // replay the single-queue trajectory at every shard count, and that
+  // trajectory is pinned. (With failover off every leg is pinned to its
+  // racked home tenant, so the tenant-instantiation failure branch cannot
+  // fire here; the cluster_test alloc-fault case covers it.)
   using fault::PartitionDirection;
   struct Scenario {
     PartitionDirection partition;
     bool failover;
   };
-  for (const Scenario sc : {Scenario{PartitionDirection::kFromServer, true},
-                            Scenario{PartitionDirection::kFromServer, false},
-                            Scenario{PartitionDirection::kToServer, false}}) {
+  const Scenario scenarios[] = {
+      Scenario{PartitionDirection::kFromServer, true},
+      Scenario{PartitionDirection::kFromServer, false},
+      Scenario{PartitionDirection::kToServer, false}};
+  static_assert(std::size(scenarios) == std::size(kGoldenLostLegs));
+  for (std::size_t i = 0; i < std::size(scenarios); ++i) {
+    const Scenario sc = scenarios[i];
     SCOPED_TRACE(std::string(sc.partition == PartitionDirection::kFromServer
                                  ? "kFromServer"
                                  : "kToServer") +
@@ -372,6 +404,20 @@ TEST(GoldenDeterminismTest, ShardedLostLegsAndBudgetedRetriesMatchUnsharded) {
       return RunShardedClusterWorkload(shards, sc.partition, sc.failover);
     };
     const GoldenClusterRun seq = run(1);
+    if (PrintRequested()) {
+      std::printf("    {{");
+      for (auto v : seq.finish_ns) {
+        std::printf("%lldLL, ", static_cast<long long>(v));
+      }
+      std::printf("},\n     {");
+      for (auto v : seq.router) {
+        std::printf("%lluULL, ", static_cast<unsigned long long>(v));
+      }
+      std::printf("}},\n");
+      continue;
+    }
+    EXPECT_EQ(seq.finish_ns, kGoldenLostLegs[i].finish_ns);
+    EXPECT_EQ(seq.router, kGoldenLostLegs[i].router);
     // The scenario must actually take the branch it claims to cover.
     if (sc.partition == PartitionDirection::kFromServer) {
       EXPECT_GT(RouterField(seq, "responses_lost_from_server"), 0u);

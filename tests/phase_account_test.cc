@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -288,11 +290,43 @@ ChaosResult RunChaosCluster(std::size_t shards) {
   return out;
 }
 
+// RunChaosCluster(1)'s exports, recorded at the commit before the request
+// paths' phase accounts became unconditional.
+const char* const kGoldenChaosBlame = R"json({
+  "slo_ms": 250,
+  "requests": 72,
+  "violations": 66,
+  "phase_sum_mismatches": 0,
+  "rows": [
+    {"server": 0, "model": "googlenet", "requests": 22, "violations": 20, "dominant_phase": "router_queue", "phases_ns":{"router_hop":14400000,"router_queue":27214820724,"reload":7197265,"gpu_queue":132713077,"gpu_compute":3259710622,"failover_readmit":200000,"response_hop":4400000}, "violation_phases_ns":{"router_hop":14000000,"router_queue":27214820724,"reload":7197265,"gpu_queue":129694006,"gpu_compute":2982756801,"failover_readmit":200000,"response_hop":4000000}, "dominant_counts":{"router_queue":19,"gpu_compute":1}},
+    {"server": 1, "model": "googlenet", "requests": 20, "violations": 18, "dominant_phase": "router_queue", "phases_ns":{"router_hop":4000000,"router_queue":10028932050,"reload":7197265,"gpu_queue":128342065,"gpu_compute":3056574104,"backoff":5000000,"failover_readmit":200000,"response_hop":4200000}, "violation_phases_ns":{"router_hop":3600000,"router_queue":10028932050,"reload":7197265,"gpu_queue":125233570,"gpu_compute":2786676810,"backoff":5000000,"failover_readmit":200000,"response_hop":3800000}, "dominant_counts":{"router_queue":17,"gpu_compute":1}},
+    {"server": 2, "model": "googlenet", "requests": 30, "violations": 28, "dominant_phase": "router_queue", "phases_ns":{"router_hop":26000000,"router_queue":33826050480,"reload":14394530,"gpu_queue":258872687,"gpu_compute":5845008333,"backoff":5000000,"failover_readmit":600000,"response_hop":6200000}, "violation_phases_ns":{"router_hop":25600000,"router_queue":33826050480,"reload":14394530,"gpu_queue":255874403,"gpu_compute":5573650935,"backoff":5000000,"failover_readmit":600000,"response_hop":5800000}, "dominant_counts":{"router_queue":23,"gpu_compute":5}}
+  ]
+}
+)json";
+const char* const kGoldenChaosIncidents = R"json({
+  "incidents": [
+    {"server": 2, "kind": "capacity-loss", "injected_ns": 300000000, "window_ns": 800000000, "detected_ns": -1, "mitigated_ns": -1, "recovered_ns": -1, "mitigation": "", "requests_impacted": 5, "failures_impacted": 0, "goodput_dip": 0},
+    {"server": 0, "kind": "server-crash", "injected_ns": 400000000, "window_ns": 600000000, "detected_ns": 405226962, "mitigated_ns": 405226962, "recovered_ns": 1028400000, "mitigation": "failover", "requests_impacted": 0, "failures_impacted": 0, "goodput_dip": 0},
+    {"server": 1, "kind": "partition", "injected_ns": 1200000000, "window_ns": 500000000, "detected_ns": 1213200000, "mitigated_ns": 1218714070, "recovered_ns": 1734000000, "mitigation": "failover", "requests_impacted": 2, "failures_impacted": 0, "goodput_dip": 0}
+  ],
+  "total_requests": 72,
+  "total_failures": 0
+}
+)json";
+
 TEST(PhaseAccountTest, ChaosSweepIdentityAndShardCountByteEquality) {
   const ChaosResult one = RunChaosCluster(1);
   EXPECT_GT(one.requests, 0u);
   EXPECT_GT(one.violations, 0u);
   EXPECT_EQ(one.mismatches, 0u);
+  if (const char* v = std::getenv("OLYMPIAN_GOLDEN_PRINT");
+      v != nullptr && v[0] != '\0' && v[0] != '0') {
+    std::printf("kGoldenChaosBlame:\n%s\nkGoldenChaosIncidents:\n%s\n",
+                one.blame_json.c_str(), one.incidents_json.c_str());
+  }
+  EXPECT_EQ(one.blame_json, kGoldenChaosBlame);
+  EXPECT_EQ(one.incidents_json, kGoldenChaosIncidents);
 
   const ChaosResult four = RunChaosCluster(4);
   EXPECT_EQ(four.mismatches, 0u);
