@@ -14,9 +14,6 @@ Profiler::Profiler(ProfilerOptions options) : options_(std::move(options)) {
   if (options_.profile_runs < 1) {
     throw std::invalid_argument("profile_runs must be >= 1");
   }
-  if (options_.q_sweep.empty()) {
-    throw std::invalid_argument("q_sweep must not be empty");
-  }
 }
 
 ModelProfile Profiler::ProfileModel(const std::string& model,
@@ -39,7 +36,7 @@ ModelProfile Profiler::ProfileModel(const std::string& model,
   ctx.job = 0;
   ctx.model_key = models::ModelKey(model, batch);
   ctx.batch = batch;
-  for (int s = 0; s < options_.server.streams_per_job; ++s) {
+  for (int s = 0; s < serving::kStreamsPerJob; ++s) {
     ctx.streams.push_back(gpu.CreateStream());
   }
 
@@ -85,7 +82,7 @@ double Profiler::MeasureOverheadAt(const ModelProfile& profile,
                                    sim::Duration q) const {
   const serving::ClientSpec client{.model = profile.model,
                                    .batch = profile.batch,
-                                   .num_batches = options_.curve_num_batches};
+                                   .num_batches = kCurveNumBatches};
   const std::vector<serving::ClientSpec> clients(2, client);
 
   serving::ServerOptions opts = options_.server;
@@ -114,7 +111,7 @@ double Profiler::MeasureOverheadAt(const ModelProfile& profile,
 
 void Profiler::ComputeOverheadQCurve(ModelProfile& profile) const {
   profile.overhead_q.clear();
-  for (const sim::Duration q : options_.q_sweep) {
+  for (const sim::Duration q : kQSweep) {
     profile.overhead_q.emplace_back(q, MeasureOverheadAt(profile, q));
   }
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -27,18 +28,19 @@ struct ModelProfile {
   double CostAccumulationRate() const { return cost.CostAccumulationRate(); }
 };
 
+// Quantum sweep for the Overhead-Q curves.
+inline constexpr std::array<sim::Duration, 8> kQSweep = {
+    sim::Duration::Micros(300),  sim::Duration::Micros(500),
+    sim::Duration::Micros(800),  sim::Duration::Micros(1200),
+    sim::Duration::Micros(1600), sim::Duration::Micros(2400),
+    sim::Duration::Micros(3600), sim::Duration::Micros(5000)};
+// Batches per client in the two-instance overhead measurements.
+inline constexpr int kCurveNumBatches = 3;
+
 struct ProfilerOptions {
   // Solo runs averaged into one profile (DNN execution is predictable, so a
   // few suffice — paper §4.4 measures ~2% run-to-run stddev).
   int profile_runs = 3;
-  // Quantum sweep for the Overhead-Q curves.
-  std::vector<sim::Duration> q_sweep = {
-      sim::Duration::Micros(300),  sim::Duration::Micros(500),
-      sim::Duration::Micros(800),  sim::Duration::Micros(1200),
-      sim::Duration::Micros(1600), sim::Duration::Micros(2400),
-      sim::Duration::Micros(3600), sim::Duration::Micros(5000)};
-  // Batches per client in the two-instance overhead measurements.
-  int curve_num_batches = 3;
   std::uint64_t seed = 7;
   // Server configuration profiles are taken under. Profiling runs offline —
   // in their own private simulation with an idle GPU — mirroring the paper.

@@ -87,7 +87,7 @@ sim::Task Scheduler::Yield(graph::JobContext& ctx) {
     if (!suspended) co_return;
     if (options_.resume_latency > sim::Duration::Zero()) {
       co_await env_.Delay(
-          rng_.Jitter(options_.resume_latency, options_.resume_jitter));
+          rng_.Jitter(options_.resume_latency, kResumeJitter));
     }
     if (ctx.cancel != nullptr && ctx.cancel->cancelled) co_return;
     if (token_ == ctx.job) co_return;  // else: lost the token while waking
@@ -177,18 +177,18 @@ void Scheduler::OnNodeComputed(graph::JobContext& ctx,
 }
 
 void Scheduler::Rotate(gpusim::JobId leaving) {
-  if (token_ != gpusim::kNoJob && options_.record_quanta) {
+  if (token_ != gpusim::kNoJob) {
     quantum_log_.push_back(QuantumRecord{
         .job = token_,
         .start = tenure_start_,
         .end = env_.Now(),
         .gpu_duration = gpu_.JobGpuDuration(token_) - tenure_gpu_start_,
         .active_jobs = jobs_.size()});
-  }
-  if (options_.tracer != nullptr && token_ != gpusim::kNoJob) {
-    options_.tracer->AddSpanNumbered("token", "job-", token_,
-                                     metrics::Tracer::kSchedulerTrack,
-                                     tenure_start_, env_.Now());
+    if (options_.tracer != nullptr) {
+      options_.tracer->AddSpanNumbered("token", "job-", token_,
+                                       metrics::Tracer::kSchedulerTrack,
+                                       tenure_start_, env_.Now());
+    }
   }
   const gpusim::JobId next = policy_->NextJob(jobs_, leaving);
   GrantTo(next);

@@ -41,14 +41,11 @@ class Scheduler : public graph::SchedulingHooks {
   struct Options {
     bool use_wall_clock = false;
     sim::Duration wall_quantum = sim::Duration::Millis(2);
-    // Keep a full per-quantum log (Figures 12/14/16). Cheap; on by default.
-    bool record_quanta = true;
     // OS wake-up latency paid by a gang's threads when their job regains
     // the token (futex wake + run-queue delay). This is the dominant
     // per-switch cost and gives the Overhead-Q curve its shape (Figure 8):
     // smaller quanta amortize it over less GPU time.
     sim::Duration resume_latency = sim::Duration::Micros(40);
-    double resume_jitter = 0.3;
     // Charge the cost of nodes that finish after their job lost the token
     // to that job (the paper's Figure 15 design). Disabling this is an
     // ablation (bench_ablation_overflow): uncharged overflow systematically
@@ -59,7 +56,11 @@ class Scheduler : public graph::SchedulingHooks {
     metrics::Tracer* tracer = nullptr;
   };
 
-  // One observed scheduling interval (token tenure) of a job.
+  // Multiplicative jitter on each resume_latency wake-up.
+  static constexpr double kResumeJitter = 0.3;
+
+  // One observed scheduling interval (token tenure) of a job; every tenure
+  // is logged (Figures 12/14/16).
   struct QuantumRecord {
     gpusim::JobId job = gpusim::kNoJob;
     sim::TimePoint start;

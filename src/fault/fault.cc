@@ -23,11 +23,6 @@ const char* ToString(FaultKind kind) {
   return "unknown";
 }
 
-sim::Duration RecoveryOptions::TransferCost(double mb) const {
-  if (mb <= 0.0 || pcie_gbps <= 0.0) return sim::Duration::Zero();
-  return sim::Duration::Seconds(mb / 1024.0 / pcie_gbps);
-}
-
 FaultPlan& FaultPlan::KernelFailure(sim::TimePoint at, gpusim::StreamId stream,
                                     std::size_t gpu_index) {
   events_.push_back(FaultEvent{.kind = FaultKind::kKernelFailure,
@@ -109,8 +104,8 @@ void DrawArrivals(sim::Rng& rng, double expected, sim::Duration horizon,
 }  // namespace
 
 FaultPlan FaultPlan::Random(const RandomOptions& options, std::uint64_t seed) {
-  if (options.num_gpus < 1 || options.streams_per_gpu < 1) {
-    throw std::invalid_argument("Random fault plan needs >= 1 gpu and stream");
+  if (options.num_gpus < 1) {
+    throw std::invalid_argument("Random fault plan needs >= 1 gpu");
   }
   sim::Rng rng(seed);
   FaultPlan plan;
@@ -118,8 +113,7 @@ FaultPlan FaultPlan::Random(const RandomOptions& options, std::uint64_t seed) {
                [&](sim::TimePoint at) {
                  const auto gpu = static_cast<std::size_t>(rng.UniformInt(
                      0, static_cast<std::int64_t>(options.num_gpus) - 1));
-                 const auto stream =
-                     rng.UniformInt(0, options.streams_per_gpu - 1);
+                 const auto stream = rng.UniformInt(0, kStreamsPerGpu - 1);
                  plan.KernelFailure(at, stream, gpu);
                });
   DrawArrivals(rng, options.expected_hangs, options.horizon,
@@ -157,11 +151,10 @@ FaultPlan FaultPlan::Random(const RandomOptions& options, std::uint64_t seed) {
                  const auto gpu = static_cast<std::size_t>(rng.UniformInt(
                      0, static_cast<std::int64_t>(options.num_gpus) - 1));
                  const double cap =
-                     options.capacity_low +
-                     (options.capacity_high - options.capacity_low) *
-                         rng.NextDouble();
+                     kCapacityLow +
+                     (kCapacityHigh - kCapacityLow) * rng.NextDouble();
                  plan.CapacityFault(at,
-                                    options.mean_capacity_window *
+                                    kMeanCapacityWindow *
                                         (-std::log(1.0 - rng.NextDouble())),
                                     cap, gpu);
                });
@@ -274,14 +267,14 @@ ServerFaultPlan ServerFaultPlan::Random(const RandomOptions& options,
   DrawArrivals(rng, options.expected_crashes, options.horizon,
                [&](sim::TimePoint at) {
                  plan.Crash(at,
-                            options.mean_crash_outage *
+                            kMeanCrashOutage *
                                 (-std::log(1.0 - rng.NextDouble())),
                             draw_server());
                });
   DrawArrivals(rng, options.expected_hangs, options.horizon,
                [&](sim::TimePoint at) {
                  plan.Hang(at,
-                           options.mean_hang *
+                           kMeanHang *
                                (-std::log(1.0 - rng.NextDouble())),
                            draw_server());
                });
@@ -290,7 +283,7 @@ ServerFaultPlan ServerFaultPlan::Random(const RandomOptions& options,
                  const auto dir = static_cast<PartitionDirection>(
                      rng.UniformInt(0, 2));
                  plan.Partition(at,
-                                options.mean_partition *
+                                kMeanPartition *
                                     (-std::log(1.0 - rng.NextDouble())),
                                 draw_server(), dir);
                });

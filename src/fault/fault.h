@@ -50,24 +50,6 @@ struct FaultEvent {
   double capacity = 1.0;
 };
 
-// How long recovery takes once a reset outage ends. Consumed by the serving
-// layer's health monitor when it orchestrates readmission: driver re-init,
-// parameter reload over PCIe, then a warm-up before traffic resumes.
-struct RecoveryOptions {
-  sim::Duration driver_reinit = sim::Duration::Millis(20);
-  // Host-to-device bandwidth used to charge parameter reload time
-  // (resident_mb / 1024 / pcie_gbps seconds).
-  double pcie_gbps = 12.0;
-  // Fixed warm-up pause after reload before the device serves traffic again.
-  sim::Duration warmup = sim::Duration::Millis(5);
-  // Heartbeat probes that must succeed during warm-up before readmission.
-  int warmup_probes = 2;
-
-  // Time to stream `mb` of parameters host-to-device; zero when either is
-  // non-positive. Instantiating a replica costs `warmup` on top of this.
-  sim::Duration TransferCost(double mb) const;
-};
-
 // A declarative schedule of faults on the virtual clock. Build one with the
 // fluent adders (chainable) or generate one stochastically — but
 // deterministically — from a seed with `Random`. The plan is pure data; the
@@ -94,12 +76,19 @@ class FaultPlan {
   std::size_t size() const { return events_.size(); }
   const std::vector<FaultEvent>& events() const { return events_; }
 
+  // Fixed shape of Random's draws: kernel failures target streams
+  // [0, kStreamsPerGpu), and each capacity window's mean length and
+  // multiplier range.
+  static constexpr std::int64_t kStreamsPerGpu = 2;
+  static constexpr sim::Duration kMeanCapacityWindow =
+      sim::Duration::Millis(200);
+  static constexpr double kCapacityLow = 0.25;
+  static constexpr double kCapacityHigh = 0.75;
+
   // Expected fault counts over a horizon; Poisson arrivals per kind.
   struct RandomOptions {
     sim::Duration horizon = sim::Duration::Seconds(10.0);
     std::size_t num_gpus = 1;
-    // Streams to target for kernel failures (round-robin over [0, n)).
-    std::int64_t streams_per_gpu = 2;
     double expected_kernel_failures = 0.0;
     double expected_hangs = 0.0;
     sim::Duration mean_hang = sim::Duration::Millis(20);
@@ -112,10 +101,6 @@ class FaultPlan {
     // Fractional-capacity windows; zero expected events draws no extra
     // random numbers, preserving existing plans bit-for-bit.
     double expected_capacity_faults = 0.0;
-    sim::Duration mean_capacity_window = sim::Duration::Millis(200);
-    // Multiplier drawn uniformly from [capacity_low, capacity_high].
-    double capacity_low = 0.25;
-    double capacity_high = 0.75;
   };
 
   // Draw a plan from `seed`: same seed, same plan, bit-for-bit — fault
@@ -195,15 +180,17 @@ class ServerFaultPlan {
   std::size_t size() const { return events_.size(); }
   const std::vector<ServerFaultEvent>& events() const { return events_; }
 
+  // Mean window lengths of Random's crashes, hangs and partitions.
+  static constexpr sim::Duration kMeanCrashOutage = sim::Duration::Millis(400);
+  static constexpr sim::Duration kMeanHang = sim::Duration::Millis(50);
+  static constexpr sim::Duration kMeanPartition = sim::Duration::Millis(100);
+
   struct RandomOptions {
     sim::Duration horizon = sim::Duration::Seconds(10.0);
     std::size_t num_servers = 2;
     double expected_crashes = 0.0;
-    sim::Duration mean_crash_outage = sim::Duration::Millis(400);
     double expected_hangs = 0.0;
-    sim::Duration mean_hang = sim::Duration::Millis(50);
     double expected_partitions = 0.0;
-    sim::Duration mean_partition = sim::Duration::Millis(100);
     // Gray faults; zero expected events draws no extra random numbers,
     // preserving existing plans bit-for-bit.
     double expected_capacity_losses = 0.0;

@@ -22,9 +22,6 @@ Gpu::Gpu(sim::Environment& env, Options options)
   if (options_.spec.total_block_slots() <= 0) {
     throw std::invalid_argument("GpuSpec must expose at least one block slot");
   }
-  if (options_.mean_burst < 1.0) {
-    throw std::invalid_argument("mean_burst must be >= 1");
-  }
   if (options_.clock_noise_sigma > 0.0) {
     options_.spec.clock_scale *=
         std::max(0.5, rng_.Normal(1.0, options_.clock_noise_sigma));
@@ -236,7 +233,7 @@ void Gpu::Dispatch() {
         const double u = rng_.NextDouble();
         burst_left_ = std::max<std::int64_t>(
             1, static_cast<std::int64_t>(
-                   std::llround(-std::log(1.0 - u) * options_.mean_burst)));
+                   std::llround(-std::log(1.0 - u) * kMeanBurst)));
         cur = streams_[static_cast<std::size_t>(current_)].get();
       }
       if (cur->active == nullptr) {

@@ -74,8 +74,9 @@ class GpuHealthListener {
 // before re-arbitrating uniformly at random among ready streams. It is
 // job-blind: nothing in the issue path looks at KernelDesc::job. Bursty,
 // arbitrary channel arbitration is what makes concurrent TF-Serving jobs
-// finish at unpredictable times (paper Figure 3); the burst length knob is
-// calibrated in models/calibration.h.
+// finish at unpredictable times (paper Figure 3); the mean burst length,
+// kMeanBurst, is listed with the other calibrations under "Calibration
+// knobs" in DESIGN.md.
 //
 // Accounting: per-job busy meters implement the paper's "GPU duration" (the
 // union of intervals during which >= 1 kernel of the job is resident,
@@ -89,10 +90,11 @@ class GpuHealthListener {
 // into a single completion event (see Options::coalesce_wave_trains).
 class Gpu {
  public:
+  // Mean kernels issued from one stream before re-arbitration.
+  static constexpr double kMeanBurst = 4.0;
+
   struct Options {
     GpuSpec spec = GpuSpec::Gtx1080Ti();
-    // Mean kernels issued from one stream before re-arbitration.
-    double mean_burst = 4.0;
     // Sigma of the per-stream log-normal arbitration weight, modelling the
     // persistent service bias of hardware channel assignment. This is what
     // makes identical concurrent jobs finish at different times under the

@@ -172,7 +172,7 @@ sim::Task Executor::Compute(JobContext& ctx, RunState& st, const Node& node) {
     ++ctx.next_stream;
     sim::Duration work = node.block_work;
     if (options_.online_cost_profiler) {
-      work = work * options_.profiler_kernel_slowdown;
+      work = work * kProfilerKernelSlowdown;
     }
     if (options_.gpu_jitter > 0.0) work = rng_.Jitter(work, options_.gpu_jitter);
     try {

@@ -16,6 +16,9 @@
 
 namespace olympian::graph {
 
+// Kernel slowdown under ExecutorOptions::online_cost_profiler.
+inline constexpr double kProfilerKernelSlowdown = 1.22;
+
 struct ExecutorOptions {
   // Multiplicative jitter on per-node CPU time. This models OS-thread and
   // cache noise; it is the seed-controlled source of submission-order
@@ -29,12 +32,11 @@ struct ExecutorOptions {
   double gpu_jitter = 0.025;
 
   // When true, models Tensorflow's online cost profiler (CUPTI hooks): a
-  // fixed CPU cost per node plus a slowdown on instrumented kernels,
-  // inflating end-to-end runtimes by 21-29% (paper Figure 6) — the reason
-  // Olympian profiles offline.
+  // fixed CPU cost per node plus a kProfilerKernelSlowdown on instrumented
+  // kernels, inflating end-to-end runtimes by 21-29% (paper Figure 6) — the
+  // reason Olympian profiles offline.
   bool online_cost_profiler = false;
   sim::Duration profiler_overhead_per_node = sim::Duration::Micros(4);
-  double profiler_kernel_slowdown = 1.22;
 
   // Optional execution tracing: every node records a span on its job's
   // track (see metrics/trace.h). Must outlive the executor.

@@ -121,9 +121,10 @@ struct RouterCounters {
   std::uint64_t brownout_exits = 0;        // shed-level back-to-0 edges
   std::uint64_t requests_shed_brownout = 0;  // rejected by brownout shedding
 
+  // Every request the router finished, one terminal count each.
   std::uint64_t requests_total() const {
     return requests_ok + requests_failed + requests_timed_out +
-           requests_rejected_no_server;
+           requests_rejected_no_server + requests_shed_brownout;
   }
 
   struct Field {

@@ -4,22 +4,11 @@
 #include <cmath>
 #include <limits>
 #include <ostream>
-#include <stdexcept>
 
 namespace olympian::metrics {
 
 // ---------------------------------------------------------------------------
 // Histogram
-
-MetricRegistry::Histogram::Histogram(const Options& opts) {
-  bounds_.reserve(static_cast<std::size_t>(opts.num_buckets));
-  double bound = opts.first_bound;
-  for (int i = 0; i < opts.num_buckets; ++i) {
-    bounds_.push_back(bound);
-    bound *= opts.growth;
-  }
-  counts_.assign(bounds_.size() + 1, 0);
-}
 
 void MetricRegistry::Histogram::Observe(double v) {
   if (count_ == 0) {
@@ -30,16 +19,11 @@ void MetricRegistry::Histogram::Observe(double v) {
   }
   ++count_;
   sum_ += v;
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
+  const auto it = std::lower_bound(kBounds.begin(), kBounds.end(), v);
+  ++counts_[static_cast<std::size_t>(it - kBounds.begin())];
 }
 
 void MetricRegistry::Histogram::MergeFrom(const Histogram& src) {
-  if (bounds_ != src.bounds_) {
-    throw std::invalid_argument(
-        "Histogram::MergeFrom: bucket layouts differ; merging histograms "
-        "with different bounds would smear counts");
-  }
   if (src.count_ == 0) return;
   min_ = count_ == 0 ? src.min_ : std::min(min_, src.min_);
   max_ = count_ == 0 ? src.max_ : std::max(max_, src.max_);
@@ -59,8 +43,8 @@ double MetricRegistry::Histogram::Quantile(double q) const {
     seen += counts_[i];
     if (static_cast<double>(seen) < rank) continue;
     // Interpolate inside bucket i between its lower and upper bound.
-    const double lower = i == 0 ? min_ : bounds_[i - 1];
-    const double upper = i < bounds_.size() ? bounds_[i] : max_;
+    const double lower = i == 0 ? min_ : kBounds[i - 1];
+    const double upper = i < kBounds.size() ? kBounds[i] : max_;
     const double frac =
         counts_[i] == 0
             ? 0.0
@@ -152,60 +136,29 @@ std::string SpliceLabels(const std::string& a, const std::string& b) {
 
 void MetricRegistry::MergeFrom(const MetricRegistry& src, const Labels& extra) {
   const std::string extra_rendered = RenderLabels(extra);
+  const auto merged = [&](const Key& key) {
+    return Key{key.name, SpliceLabels(key.labels, extra_rendered)};
+  };
   for (const auto& [key, c] : src.counters_) {
-    Key merged{key.name, SpliceLabels(key.labels, extra_rendered)};
-    auto it = counters_.find(merged);
-    if (it == counters_.end()) {
-      it = counters_.emplace(std::move(merged), std::make_unique<Counter>())
-               .first;
-    }
-    it->second->Inc(c->value());
+    GetOrCreate(counters_, merged(key)).Inc(c->value());
   }
   for (const auto& [key, g] : src.gauges_) {
-    Key merged{key.name, SpliceLabels(key.labels, extra_rendered)};
-    auto it = gauges_.find(merged);
-    if (it == gauges_.end()) {
-      it = gauges_.emplace(std::move(merged), std::make_unique<Gauge>()).first;
-    }
-    it->second->Set(g->value());
+    GetOrCreate(gauges_, merged(key)).Set(g->value());
   }
   for (const auto& [key, h] : src.histograms_) {
-    Key merged{key.name, SpliceLabels(key.labels, extra_rendered)};
-    auto it = histograms_.find(merged);
-    if (it == histograms_.end()) {
-      // Clone the source's bucket layout so the merge below can't throw on
-      // a fresh destination. Histogram's public ctor rebuilds from Options;
-      // copy-construct instead to take the exact bounds.
-      it = histograms_
-               .emplace(std::move(merged), std::make_unique<Histogram>(*h))
-               .first;
-      // The copy already holds src's counts; nothing left to fold in.
-      continue;
-    }
-    it->second->MergeFrom(*h);
+    GetOrCreate(histograms_, merged(key)).MergeFrom(*h);
   }
   for (const auto& [key, s] : src.series_) {
-    Key merged{key.name, SpliceLabels(key.labels, extra_rendered)};
-    auto it = series_.find(merged);
-    if (it == series_.end()) {
-      it = series_.emplace(std::move(merged), std::make_unique<TimeSeries>())
-               .first;
-    }
-    it->second->MergeFrom(*s);
+    GetOrCreate(series_, merged(key)).MergeFrom(*s);
   }
 }
 
-template <typename T, typename... Args>
+template <typename T>
 T& MetricRegistry::GetOrCreate(std::map<Key, std::unique_ptr<T>>& family,
-                               std::string_view name, const Labels& labels,
-                               Args&&... args) {
-  Key key{std::string(name), RenderLabels(labels)};
+                               Key key) {
   auto it = family.find(key);
   if (it == family.end()) {
-    it = family
-             .emplace(std::move(key),
-                      std::make_unique<T>(std::forward<Args>(args)...))
-             .first;
+    it = family.emplace(std::move(key), std::make_unique<T>()).first;
   }
   return *it->second;
 }
@@ -220,23 +173,22 @@ const T* MetricRegistry::Find(const std::map<Key, std::unique_ptr<T>>& family,
 
 MetricRegistry::Counter& MetricRegistry::GetCounter(std::string_view name,
                                                     const Labels& labels) {
-  return GetOrCreate(counters_, name, labels);
+  return GetOrCreate(counters_, Key{std::string(name), RenderLabels(labels)});
 }
 
 MetricRegistry::Gauge& MetricRegistry::GetGauge(std::string_view name,
                                                 const Labels& labels) {
-  return GetOrCreate(gauges_, name, labels);
+  return GetOrCreate(gauges_, Key{std::string(name), RenderLabels(labels)});
 }
 
-MetricRegistry::Histogram& MetricRegistry::GetHistogram(
-    std::string_view name, const Labels& labels,
-    const Histogram::Options& opts) {
-  return GetOrCreate(histograms_, name, labels, opts);
+MetricRegistry::Histogram& MetricRegistry::GetHistogram(std::string_view name,
+                                                        const Labels& labels) {
+  return GetOrCreate(histograms_, Key{std::string(name), RenderLabels(labels)});
 }
 
 MetricRegistry::TimeSeries& MetricRegistry::GetSeries(std::string_view name,
                                                       const Labels& labels) {
-  return GetOrCreate(series_, name, labels);
+  return GetOrCreate(series_, Key{std::string(name), RenderLabels(labels)});
 }
 
 const MetricRegistry::Counter* MetricRegistry::FindCounter(
@@ -332,7 +284,7 @@ void MetricRegistry::WritePrometheus(std::ostream& os) const {
                           ",le=\"";
     std::uint64_t cum = 0;
     const auto& counts = h->bucket_counts();
-    const auto& bounds = h->bounds();
+    const auto& bounds = Histogram::kBounds;
     for (std::size_t i = 0; i < bounds.size(); ++i) {
       cum += counts[i];
       os << prefix << bounds[i] << "\"} " << cum << '\n';

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -19,18 +20,6 @@ namespace olympian::metrics {
 // one time series in the Prometheus data model.
 using Label = std::pair<std::string, std::string>;
 using Labels = std::vector<Label>;
-
-// Bucket layout for MetricRegistry::Histogram: upper bounds grow
-// geometrically from `first_bound` by `growth` per bucket, giving constant
-// relative error across many orders of magnitude with a few dozen buckets.
-// The defaults cover 1us .. ~18 minutes when observing milliseconds.
-// (Namespace-scope rather than nested so its defaults are complete before
-// MetricRegistry's inline default arguments need them.)
-struct HistogramOptions {
-  double first_bound = 0.001;
-  double growth = 1.6;
-  int num_buckets = 44;
-};
 
 // Labeled metric registry: counters, gauges, log-bucketed histograms, and
 // windowed time series keyed by (name, labels).
@@ -75,11 +64,25 @@ class MetricRegistry {
     double value_ = 0.0;
   };
 
-  // Log-bucketed histogram over HistogramOptions' geometric bucket layout.
+  // Log-bucketed histogram. Every histogram shares one bucket layout:
+  // upper bounds grow geometrically from kFirstBound by kGrowth per bucket,
+  // giving constant relative error across many orders of magnitude with a
+  // few dozen buckets — 1us .. ~18 minutes when observing milliseconds.
   class Histogram {
    public:
-    using Options = HistogramOptions;
-    explicit Histogram(const Options& opts = Options());
+    static constexpr double kFirstBound = 0.001;
+    static constexpr double kGrowth = 1.6;
+    static constexpr std::size_t kNumBuckets = 44;
+    // Upper bounds, one per finite bucket.
+    static constexpr std::array<double, kNumBuckets> kBounds = [] {
+      std::array<double, kNumBuckets> bounds{};
+      double bound = kFirstBound;
+      for (double& b : bounds) {
+        b = bound;
+        bound *= kGrowth;
+      }
+      return bounds;
+    }();
 
     void Observe(double v);
 
@@ -87,23 +90,21 @@ class MetricRegistry {
     double sum() const { return sum_; }
     double min() const { return min_; }
     double max() const { return max_; }
-    // Upper bounds, one per finite bucket; counts_ has one extra overflow
-    // (+Inf) slot at the end. Bucket counts are NON-cumulative here; the
-    // Prometheus export accumulates.
-    const std::vector<double>& bounds() const { return bounds_; }
-    const std::vector<std::uint64_t>& bucket_counts() const { return counts_; }
+    // One count per kBounds entry plus an overflow (+Inf) slot at the end.
+    // Bucket counts are NON-cumulative here; the Prometheus export
+    // accumulates.
+    const std::array<std::uint64_t, kNumBuckets + 1>& bucket_counts() const {
+      return counts_;
+    }
     // Quantile estimate (q in [0,1]) by linear interpolation inside the
     // containing bucket, clamped to the observed min/max.
     double Quantile(double q) const;
 
-    // Folds `src`'s observations into this histogram bucket-wise. Both
-    // histograms must share a bucket layout (throws std::invalid_argument
-    // otherwise — merging across layouts would smear counts).
+    // Folds `src`'s observations into this histogram bucket-wise.
     void MergeFrom(const Histogram& src);
 
    private:
-    std::vector<double> bounds_;
-    std::vector<std::uint64_t> counts_;  // bounds_.size() + 1 (overflow)
+    std::array<std::uint64_t, kNumBuckets + 1> counts_{};
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
     double min_ = 0.0;
@@ -138,16 +139,14 @@ class MetricRegistry {
   // Lookup-or-create. References are stable for the registry's lifetime.
   Counter& GetCounter(std::string_view name, const Labels& labels = {});
   Gauge& GetGauge(std::string_view name, const Labels& labels = {});
-  Histogram& GetHistogram(
-      std::string_view name, const Labels& labels = {},
-      const Histogram::Options& opts = Histogram::Options());
+  Histogram& GetHistogram(std::string_view name, const Labels& labels = {});
   TimeSeries& GetSeries(std::string_view name, const Labels& labels = {});
 
   // Folds every instrument of `src` into this registry, splicing `extra`
   // labels into each key (e.g. {{"server","3"}} qualifies per-server deltas
   // before they land in a shared export). Counters add, gauges overwrite,
-  // histograms merge bucket-wise (layouts must match), and time series
-  // append their samples. Deterministic: `src` iterates in key order.
+  // histograms merge bucket-wise, and time series append their samples.
+  // Deterministic: `src` iterates in key order.
   void MergeFrom(const MetricRegistry& src, const Labels& extra = {});
 
   // Lookup-only (nullptr when absent); for tests and report builders.
@@ -187,9 +186,8 @@ class MetricRegistry {
   };
   static std::string RenderLabels(const Labels& labels);
 
-  template <typename T, typename... Args>
-  T& GetOrCreate(std::map<Key, std::unique_ptr<T>>& family,
-                 std::string_view name, const Labels& labels, Args&&... args);
+  template <typename T>
+  static T& GetOrCreate(std::map<Key, std::unique_ptr<T>>& family, Key key);
   template <typename T>
   const T* Find(const std::map<Key, std::unique_ptr<T>>& family,
                 std::string_view name, const Labels& labels) const;

@@ -5,6 +5,30 @@
 
 namespace olympian::metrics {
 
+const char* ToString(RequestStatus status) {
+  switch (status) {
+    case RequestStatus::kOk:
+      return "ok";
+    case RequestStatus::kTimedOut:
+      return "timed_out";
+    case RequestStatus::kRejected:
+      return "rejected";
+    case RequestStatus::kFailedRetried:
+      return "failed_retried";
+    case RequestStatus::kFailed:
+      return "failed";
+  }
+  return "unknown";
+}
+
+namespace {
+
+std::uint64_t Count(const std::uint64_t (&counts)[5], RequestStatus status) {
+  return counts[static_cast<std::size_t>(status)];
+}
+
+}  // namespace
+
 SloAccumulator::PerModel& SloAccumulator::ModelSlot(std::string_view model) {
   const auto it = std::lower_bound(
       models_.begin(), models_.end(), model,
@@ -14,11 +38,10 @@ SloAccumulator::PerModel& SloAccumulator::ModelSlot(std::string_view model) {
 }
 
 void SloAccumulator::Add(std::string_view model, double latency_ms,
-                         RequestOutcome outcome) {
+                         RequestStatus status) {
   PerModel& slot = ModelSlot(model);
-  ++slot.counts[static_cast<std::size_t>(outcome)];
-  if (outcome == RequestOutcome::kSuccess ||
-      outcome == RequestOutcome::kRetriedSuccess) {
+  ++slot.counts[static_cast<std::size_t>(status)];
+  if (status == RequestStatus::kOk || status == RequestStatus::kFailedRetried) {
     slot.success_latency_ms.Add(latency_ms);
   }
 }
@@ -41,19 +64,16 @@ std::uint64_t SloAccumulator::total() const {
   return n;
 }
 
-SloReport SloAccumulator::Report(double window_seconds,
-                                 const SloOptions& opts) const {
+SloReport SloAccumulator::Report(double window_seconds) const {
   SloReport r;
   r.window_seconds = window_seconds;
-  r.availability_target = opts.availability_target;
 
   Series all_latency;
   for (const PerModel& m : models_) {
     SloReport::ModelRow row;
     row.model = m.model;
-    const std::uint64_t ok =
-        m.counts[static_cast<std::size_t>(RequestOutcome::kSuccess)] +
-        m.counts[static_cast<std::size_t>(RequestOutcome::kRetriedSuccess)];
+    const std::uint64_t ok = Count(m.counts, RequestStatus::kOk) +
+                             Count(m.counts, RequestStatus::kFailedRetried);
     for (const std::uint64_t c : m.counts) row.total += c;
     row.succeeded = ok;
     row.availability =
@@ -72,11 +92,10 @@ SloReport SloAccumulator::Report(double window_seconds,
                           : 0.0;
     r.per_model.push_back(std::move(row));
 
-    r.retried_ok +=
-        m.counts[static_cast<std::size_t>(RequestOutcome::kRetriedSuccess)];
-    r.timed_out += m.counts[static_cast<std::size_t>(RequestOutcome::kTimedOut)];
-    r.rejected += m.counts[static_cast<std::size_t>(RequestOutcome::kRejected)];
-    r.failed += m.counts[static_cast<std::size_t>(RequestOutcome::kFailed)];
+    r.retried_ok += Count(m.counts, RequestStatus::kFailedRetried);
+    r.timed_out += Count(m.counts, RequestStatus::kTimedOut);
+    r.rejected += Count(m.counts, RequestStatus::kRejected);
+    r.failed += Count(m.counts, RequestStatus::kFailed);
     for (const double v : m.success_latency_ms.values()) all_latency.Add(v);
   }
   for (const SloReport::ModelRow& row : r.per_model) {
@@ -86,7 +105,7 @@ SloReport SloAccumulator::Report(double window_seconds,
   r.availability = r.total == 0 ? 1.0
                                 : static_cast<double>(r.succeeded) /
                                       static_cast<double>(r.total);
-  const double budget = 1.0 - opts.availability_target;
+  const double budget = 1.0 - kAvailabilityTarget;
   r.error_budget_burn = budget > 0.0 ? (1.0 - r.availability) / budget : 0.0;
   if (!all_latency.empty()) {
     r.mean_ms = all_latency.Mean();

@@ -10,20 +10,21 @@
 
 namespace olympian::metrics {
 
-// Terminal disposition of one client request, as seen by the SLO layer.
-enum class RequestOutcome : std::uint8_t {
-  kSuccess = 0,        // completed within deadline, first admission
-  kRetriedSuccess,     // completed, but only after retry/failover/hedge
-  kTimedOut,           // deadline exceeded
-  kRejected,           // shed by admission control or circuit breaker
-  kFailed,             // retry budget exhausted on hard failures
+// Terminal outcome of one inference request (one batch run); the serving
+// layer re-exports it as serving::RequestStatus.
+enum class RequestStatus : std::uint8_t {
+  kOk = 0,           // succeeded on the first attempt
+  kTimedOut,         // cancelled by its deadline (possibly mid-retry)
+  kRejected,         // shed by admission control or an open circuit breaker
+  kFailedRetried,    // succeeded, but only after >= 1 retry
+  kFailed,           // exhausted the retry budget
 };
 
-struct SloOptions {
-  // Availability objective used for error-budget burn; 0.999 = "three
-  // nines", i.e. a 0.1% error budget.
-  double availability_target = 0.999;
-};
+const char* ToString(RequestStatus status);
+
+// Availability objective used for error-budget burn; 0.999 = "three
+// nines", i.e. a 0.1% error budget.
+inline constexpr double kAvailabilityTarget = 0.999;
 
 // Folded service-level view of a run: availability, latency quantiles,
 // error-budget burn, and goodput — overall and per model.
@@ -38,7 +39,7 @@ struct SloReport {
   std::uint64_t failed = 0;
 
   double availability = 1.0;       // succeeded / total; 1.0 with no traffic
-  double availability_target = 0.999;
+  double availability_target = kAvailabilityTarget;
   // Fraction of the error budget consumed: (1 - availability) /
   // (1 - target). 1.0 means the budget is exactly spent; >1 means the SLO
   // is violated.
@@ -77,7 +78,7 @@ struct SloReport {
 // are exact (metrics::Series keeps every value).
 class SloAccumulator {
  public:
-  void Add(std::string_view model, double latency_ms, RequestOutcome outcome);
+  void Add(std::string_view model, double latency_ms, RequestStatus status);
   // Pools another accumulator's observations into this one (bench sweeps
   // merge per-case accumulators into the artifact-level report).
   void Merge(const SloAccumulator& other);
@@ -85,13 +86,13 @@ class SloAccumulator {
   bool empty() const { return models_.empty(); }
   std::uint64_t total() const;
 
-  SloReport Report(double window_seconds, const SloOptions& opts = {}) const;
+  SloReport Report(double window_seconds) const;
 
  private:
   struct PerModel {
     std::string model;
     Series success_latency_ms;
-    std::uint64_t counts[5] = {};  // indexed by RequestOutcome
+    std::uint64_t counts[5] = {};  // indexed by RequestStatus
   };
   PerModel& ModelSlot(std::string_view model);
   std::vector<PerModel> models_;  // sorted by name, small N

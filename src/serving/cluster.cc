@@ -1,7 +1,6 @@
 #include "serving/cluster.h"
 
 #include <algorithm>
-#include <cmath>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -130,7 +129,7 @@ sim::Task Cluster::Probe(std::size_t server, bool& ok) {
   const bool unresponsive =
       sent < crashed_until_[server] || sent < hung_until_[server];
   if (dropped || unresponsive) {
-    co_await env_.Delay(options_.router.probe_timeout);
+    co_await env_.Delay(kProbeTimeout);
     ok = false;
   } else {
     if (options_.router.net_delay > sim::Duration::Zero()) {
@@ -144,8 +143,7 @@ sim::Task Cluster::Probe(std::size_t server, bool& ok) {
       // the device's current speed: a fractional-capacity fault inflates
       // the measured RTT, which is the only way the router can see it.
       // Only charged under scoring — legacy probes are network-only.
-      co_await env_.Delay(options_.router.probe_service *
-                          (1.0 / ServerCapacity(server)));
+      co_await env_.Delay(kProbeService * (1.0 / ServerCapacity(server)));
     }
     ok = true;
   }
@@ -276,10 +274,8 @@ sim::Task Cluster::EnsureTenant(std::size_t server, std::size_t client,
   // over PCIe and the tenant warms up before taking traffic — the same
   // pricing as in-server lazy replica instantiation.
   const models::ModelSpec& mspec = models::GetModel(spec.model);
-  const fault::RecoveryOptions& rec = options_.server.failover.recovery;
-  const sim::Duration cost =
-      rec.warmup + rec.TransferCost(static_cast<double>(mspec.params_mb));
-  if (cost > sim::Duration::Zero()) co_await senv.Delay(cost);
+  co_await senv.Delay(kWarmup +
+                      TransferCost(static_cast<double>(mspec.params_mb)));
   // A concurrent leg of the same client may have finished the setup while
   // we streamed; re-check before instantiating.
   if (const auto it = tenants.find(client); it != tenants.end()) {
@@ -370,7 +366,7 @@ sim::Task Cluster::DispatchRequest(std::size_t client, const ClientSpec& spec,
     if (lost_to) {
       // The router only learns from the missing ack after the probe timeout.
       ++counters_.requests_lost_to_server;
-      co_await env_.Delay(ro.probe_timeout);
+      co_await env_.Delay(kProbeTimeout);
       // Waiting out the missing ack is network blame, like the hop itself.
       pa.Charge(metrics::Phase::kRouterHop, env_.Now());
       router_->OnRequestEnd(s);
@@ -480,8 +476,6 @@ sim::Task Cluster::ClientProc(std::size_t client,
                               std::uint64_t seed, ClusterClientResult& out) {
   sim::Rng rng(seed);
   ArrivalProcess arrivals(spec.arrivals);
-  const bool legacy_open =
-      spec.request.mean_interarrival > sim::Duration::Zero();
   metrics::MetricRegistry* const registry = options_.registry;
   metrics::MetricRegistry::Histogram* const latency_hist =
       registry == nullptr
@@ -492,12 +486,6 @@ sim::Task Cluster::ClientProc(std::size_t client,
   for (int b = 0; b < spec.request.num_batches; ++b) {
     if (arrivals.open_loop()) {
       if (b > 0) arrival = arrivals.Next(rng);
-      if (arrival > env_.Now()) co_await env_.Delay(arrival - env_.Now());
-    } else if (legacy_open) {
-      if (b > 0) {
-        arrival = arrival + spec.request.mean_interarrival *
-                                (-std::log(1.0 - rng.NextDouble()));
-      }
       if (arrival > env_.Now()) co_await env_.Delay(arrival - env_.Now());
     } else {
       arrival = env_.Now();
@@ -554,6 +542,13 @@ std::vector<ClusterClientResult> Cluster::Run(
     const std::vector<ClusterClientSpec>& clients) {
   if (ran_) throw std::logic_error("Cluster::Run may only be called once");
   ran_ = true;
+  for (const ClusterClientSpec& c : clients) {
+    if (c.request.mean_interarrival > sim::Duration::Zero()) {
+      throw std::invalid_argument(
+          "cluster clients arrive by their `arrivals` generator: set "
+          "arrivals instead of request.mean_interarrival");
+    }
+  }
   StartRun(clients);
 
   std::vector<ClusterClientResult> results(clients.size());

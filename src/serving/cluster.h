@@ -21,9 +21,10 @@
 namespace olympian::serving {
 
 // One client of the cluster: the per-request spec (model, batch, deadline,
-// count) plus an open-loop arrival generator. With `arrivals` closed-loop
-// and `request.mean_interarrival` zero the client behaves exactly like the
-// single-server closed-loop client, one level up.
+// count) plus its arrival generator. With `arrivals` closed-loop the client
+// behaves exactly like the single-server closed-loop client, one level up.
+// Open-loop clients take their arrivals from `arrivals` alone: Cluster::Run
+// rejects a positive `request.mean_interarrival`.
 struct ClusterClientSpec {
   ClientSpec request;
   ArrivalSpec arrivals;
@@ -130,7 +131,8 @@ class Cluster : private RouterTransport {
   Cluster& operator=(const Cluster&) = delete;
 
   // Runs all clients from t=0 to completion (client i's home server is
-  // i % num_servers). May only be called once.
+  // i % num_servers). May only be called once. Throws std::invalid_argument
+  // when a client sets request.mean_interarrival (use `arrivals`).
   std::vector<ClusterClientResult> Run(
       const std::vector<ClusterClientSpec>& clients);
 

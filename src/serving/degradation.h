@@ -3,28 +3,25 @@
 #include <cstdint>
 #include <string>
 
+#include "metrics/slo.h"
 #include "sim/time.h"
 
 namespace olympian::serving {
 
-// Terminal outcome of one inference request (one batch run).
-enum class RequestStatus : std::uint8_t {
-  kOk = 0,           // succeeded on the first attempt
-  kTimedOut,         // cancelled by its deadline (possibly mid-retry)
-  kRejected,         // shed by admission control or an open circuit breaker
-  kFailedRetried,    // succeeded, but only after >= 1 retry
-  kFailed,           // exhausted the retry budget
-};
-
-const char* ToString(RequestStatus status);
+// Terminal outcome of one inference request; defined beside the SLO
+// accumulator that folds it.
+using metrics::RequestStatus;
+using metrics::ToString;
 
 // Exponential backoff with deterministic multiplicative jitter (drawn from
 // the client's seeded Rng, so retry timing is reproducible).
 struct RetryPolicy {
+  // Backoff growth per attempt, and the jitter fraction applied to it.
+  static constexpr double kMultiplier = 2.0;
+  static constexpr double kJitter = 0.2;
+
   int max_retries = 2;
   sim::Duration base_backoff = sim::Duration::Millis(2);
-  double multiplier = 2.0;
-  double jitter = 0.2;
 
   sim::Duration BackoffFor(int attempt) const;  // attempt is 1-based
 };

@@ -23,13 +23,11 @@ std::uint64_t UnpackGeneration(std::uint64_t arg) { return arg & 0xffffffffu; }
 HealthMonitor::HealthMonitor(sim::Environment& env,
                              std::vector<gpusim::Gpu*> gpus,
                              HealthMonitorOptions options,
-                             fault::RecoveryOptions recovery,
                              HealthObserver* observer,
                              metrics::ServingCounters* counters,
                              metrics::Tracer* tracer)
     : env_(env),
       options_(options),
-      recovery_(recovery),
       observer_(observer != nullptr ? observer : this),
       counters_(counters),
       tracer_(tracer),
@@ -123,10 +121,8 @@ sim::Task HealthMonitor::RecoveryProc(std::size_t gpu,
                                       bool full_reinit) {
   Device& d = *devices_[gpu];
   if (full_reinit) {
-    if (recovery_.driver_reinit > sim::Duration::Zero()) {
-      co_await env_.Delay(recovery_.driver_reinit);
-      if (d.generation != generation) co_return;  // failed again meanwhile
-    }
+    co_await env_.Delay(kDriverReinit);
+    if (d.generation != generation) co_return;  // failed again meanwhile
     const sim::Duration reload = observer_->ParamsReloadCost(gpu);
     if (reload > sim::Duration::Zero()) {
       co_await env_.Delay(reload);
@@ -134,14 +130,14 @@ sim::Task HealthMonitor::RecoveryProc(std::size_t gpu,
     }
   }
   Transition(gpu, Health::kRecovering);
-  for (int p = 0; p < recovery_.warmup_probes; ++p) {
+  for (int p = 0; p < options_.warmup_probes; ++p) {
     bool ok = true;
     try {
       co_await d.gpu->Submit(
           d.probe_stream,
           gpusim::KernelDesc{.job = gpusim::kNoJob,
                              .node_id = -1,
-                             .thread_blocks = options_.probe_blocks,
+                             .thread_blocks = kProbeBlocks,
                              .block_work = options_.probe_work});
     } catch (const gpusim::KernelFailed&) {
       ok = false;
@@ -149,10 +145,8 @@ sim::Task HealthMonitor::RecoveryProc(std::size_t gpu,
     if (d.generation != generation) co_return;
     if (!ok && counters_ != nullptr) ++counters_->probe_failures;
   }
-  if (recovery_.warmup > sim::Duration::Zero()) {
-    co_await env_.Delay(recovery_.warmup);
-    if (d.generation != generation) co_return;
-  }
+  co_await env_.Delay(kWarmup);
+  if (d.generation != generation) co_return;
   Readmit(gpu);
 }
 
@@ -171,7 +165,7 @@ sim::Task HealthMonitor::ProbeLoop(std::size_t gpu) {
           d.probe_stream,
           gpusim::KernelDesc{.job = gpusim::kNoJob,
                              .node_id = -1,
-                             .thread_blocks = options_.probe_blocks,
+                             .thread_blocks = kProbeBlocks,
                              .block_work = options_.probe_work});
     } catch (const gpusim::KernelFailed&) {
       ok = false;

@@ -4,13 +4,13 @@
 #include <memory>
 #include <vector>
 
-#include "fault/fault.h"
 #include "gpusim/gpu.h"
 #include "metrics/counters.h"
 #include "metrics/trace.h"
 #include "serving/health_tracker.h"
 #include "sim/environment.h"
 #include "sim/task.h"
+#include "sim/time.h"
 
 namespace olympian::serving {
 
@@ -29,14 +29,30 @@ class HealthObserver {
   virtual sim::Duration ParamsReloadCost(std::size_t gpu) const = 0;
 };
 
+// The recovery pipeline after a reset outage ends: driver re-init, then
+// parameter reload over PCIe, then a warm-up before traffic resumes.
+// Instantiating a replica costs kWarmup plus the reload of its parameters.
+inline constexpr sim::Duration kDriverReinit = sim::Duration::Millis(20);
+// Host-to-device bandwidth that prices parameter reloads.
+inline constexpr double kPcieGbps = 12.0;
+inline constexpr sim::Duration kWarmup = sim::Duration::Millis(5);
+
+// Time to stream `mb` of parameters host-to-device
+// (mb / 1024 / kPcieGbps seconds); zero when `mb` is non-positive.
+inline sim::Duration TransferCost(double mb) {
+  if (mb <= 0.0) return sim::Duration::Zero();
+  return sim::Duration::Seconds(mb / 1024.0 / kPcieGbps);
+}
+
 struct HealthMonitorOptions {
   // Heartbeat cadence per device; zero disables the probe loop (the
   // listener signals alone still classify, but warm-up probes and liveness
   // checks stop).
   sim::Duration probe_interval = sim::Duration::Millis(5);
-  // Shape of the heartbeat kernel (tiny: one block, microseconds of work).
-  std::int64_t probe_blocks = 1;
+  // Work of the one-block heartbeat kernel (microseconds: tiny).
   sim::Duration probe_work = sim::Duration::Micros(20);
+  // Heartbeat probes that must succeed during warm-up before readmission.
+  int warmup_probes = 2;
   // A hang outliving this budget escalates kDegraded -> kDown, triggering
   // failover even though the driver will eventually un-wedge. Zero keeps
   // hung devices merely degraded.
@@ -72,8 +88,7 @@ class HealthMonitor : public HealthObserver {
   };
 
   HealthMonitor(sim::Environment& env, std::vector<gpusim::Gpu*> gpus,
-                HealthMonitorOptions options, fault::RecoveryOptions recovery,
-                HealthObserver* observer,
+                HealthMonitorOptions options, HealthObserver* observer,
                 metrics::ServingCounters* counters = nullptr,
                 metrics::Tracer* tracer = nullptr);
   ~HealthMonitor() override;
@@ -149,6 +164,9 @@ class HealthMonitor : public HealthObserver {
     Listener listener;
   };
 
+  // Thread blocks of one heartbeat kernel.
+  static constexpr std::int64_t kProbeBlocks = 1;
+
   void Transition(std::size_t gpu, Health to);
   void GoDown(std::size_t gpu, bool from_hang);
   void Readmit(std::size_t gpu);
@@ -168,7 +186,6 @@ class HealthMonitor : public HealthObserver {
 
   sim::Environment& env_;
   HealthMonitorOptions options_;
-  fault::RecoveryOptions recovery_;
   HealthObserver* observer_;  // never null (defaults to this)
   metrics::ServingCounters* counters_;
   metrics::Tracer* tracer_;

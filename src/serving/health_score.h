@@ -7,7 +7,9 @@
 namespace olympian::serving {
 
 // Knobs for the continuous gray-failure health score shared by the device
-// HealthMonitor and the cluster Router. Off by default: with
+// HealthMonitor and the cluster Router: the baseline length, the RTT
+// smoothing and the hysteresis thresholds. The error-rate smoothing and the
+// RTT/error blend are HealthScore's constants. Off by default: with
 // `enabled == false` no score is maintained and the binary health state
 // machines behave exactly as before, so existing goldens stay byte-identical.
 struct HealthScoreOptions {
@@ -15,11 +17,8 @@ struct HealthScoreOptions {
   // Successful probe RTTs averaged into the learned baseline before the
   // RTT term starts contributing (score is err-term-only until then).
   int baseline_probes = 3;
-  // EWMA smoothing factors (weight of the newest sample).
+  // EWMA smoothing factor of successful RTTs (weight of the newest sample).
   double rtt_alpha = 0.3;
-  double error_alpha = 0.3;
-  // Blend between the RTT term and the error-rate term.
-  double rtt_weight = 0.7;
   // Hysteresis thresholds driving healthy <-> degraded transitions:
   // degrade when score < degrade_below, recover when score >= recover_above.
   // The gap between them is what prevents flapping at the boundary.
@@ -30,8 +29,8 @@ struct HealthScoreOptions {
 // Continuous health score in [0, 1] for one probed target (a device or a
 // server), fed by probe outcomes and round-trip times:
 //
-//   score = rtt_weight  * min(1, baseline / ewma_rtt)
-//         + (1 - rtt_weight) * (1 - err_ewma)
+//   score = kRttWeight  * min(1, baseline / ewma_rtt)
+//         + (1 - kRttWeight) * (1 - err_ewma)
 //
 // where `baseline` is the mean of the first `baseline_probes` successful
 // RTTs (a learned notion of "normal" for this target), `ewma_rtt` smooths
@@ -45,13 +44,18 @@ struct HealthScoreOptions {
 // and unscored cluster runs share one event stream.
 class HealthScore {
  public:
+  // EWMA smoothing factor of the failure indicator (weight of the newest
+  // sample), and the blend between the RTT term and the error-rate term.
+  static constexpr double kErrorAlpha = 0.3;
+  static constexpr double kRttWeight = 0.7;
+
   HealthScore() = default;  // default options (disabled-tier smoothing)
   explicit HealthScore(const HealthScoreOptions& options) : options_(options) {}
 
   // Record one probe outcome; `rtt` is meaningful only when `ok`.
   void OnProbe(bool ok, sim::Duration rtt) {
-    err_ewma_ = options_.error_alpha * (ok ? 0.0 : 1.0) +
-                (1.0 - options_.error_alpha) * err_ewma_;
+    err_ewma_ =
+        kErrorAlpha * (ok ? 0.0 : 1.0) + (1.0 - kErrorAlpha) * err_ewma_;
     if (!ok) return;
     const double r = static_cast<double>(rtt.nanos());
     if (baseline_count_ < options_.baseline_probes) {
@@ -81,11 +85,10 @@ class HealthScore {
     const double err_term = 1.0 - err_ewma_;
     if (baseline_ <= 0.0 || ewma_rtt_ <= 0.0) {
       // RTT term not learned yet: treat it as nominal.
-      return options_.rtt_weight + (1.0 - options_.rtt_weight) * err_term;
+      return kRttWeight + (1.0 - kRttWeight) * err_term;
     }
     const double rtt_term = std::min(1.0, baseline_ / ewma_rtt_);
-    return options_.rtt_weight * rtt_term +
-           (1.0 - options_.rtt_weight) * err_term;
+    return kRttWeight * rtt_term + (1.0 - kRttWeight) * err_term;
   }
 
   // Measured slowdown vs. the learned baseline (1.0 until learned). This
@@ -105,8 +108,9 @@ class HealthScore {
   double err_ewma_ = 0.0;      // EWMA of the 0/1 failure indicator
 };
 
-// Throws std::invalid_argument on out-of-range knobs (alphas outside
-// (0, 1], weight outside [0, 1], thresholds outside (0, 1) or inverted).
+// Throws std::invalid_argument on out-of-range knobs of an enabled score
+// (no baseline probe, rtt_alpha outside (0, 1], thresholds outside (0, 1)
+// or inverted).
 void Validate(const HealthScoreOptions& options);
 
 }  // namespace olympian::serving

@@ -250,7 +250,7 @@ void Router::UpdateBrownout() {
   if (!options_.brownout.enabled || priority_classes_.empty()) return;
   const sim::TimePoint now = env_.Now();
   if (brownout_level_ != 0 || last_brownout_move_ > sim::TimePoint()) {
-    if (now - last_brownout_move_ < options_.brownout.min_dwell) return;
+    if (now - last_brownout_move_ < kBrownoutMinDwell) return;
   }
   // Aggregate capacity: mean score over routable servers, with unroutable
   // servers contributing zero — a down server is lost capacity too.

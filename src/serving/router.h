@@ -18,6 +18,16 @@ namespace olympian::serving {
 // re-admissions are free, mirroring the device-failover contract; each
 // budgeted retry waits kRejectBackoff.
 inline constexpr int kRouterMaxRetries = 2;
+// How long the router waits on an unanswered probe or a request lost to a
+// partition before declaring the attempt failed.
+inline constexpr sim::Duration kProbeTimeout = sim::Duration::Millis(10);
+// Service time of one probe on a fully-healthy server. Charged by the
+// cluster transport ONLY when scoring is enabled, divided by the server's
+// current capacity — this is what makes a fractional-capacity fault visible
+// in the probe RTT the score is learned from.
+inline constexpr sim::Duration kProbeService = sim::Duration::Millis(1);
+// Minimum virtual time between brownout shed-level moves (anti-flap dwell).
+inline constexpr sim::Duration kBrownoutMinDwell = sim::Duration::Millis(50);
 
 struct RouterOptions {
   // Health-aware routing with cross-server failover. Off = static pin: every
@@ -34,31 +44,21 @@ struct RouterOptions {
   int recovery_successes = 2;
   // One-way router <-> server network latency.
   sim::Duration net_delay = sim::Duration::Micros(200);
-  // How long the router waits on an unanswered probe or a request lost to a
-  // partition before declaring the attempt failed.
-  sim::Duration probe_timeout = sim::Duration::Millis(10);
   // Gray-failure detection: continuous health scoring from probe RTTs.
   // When enabled, hysteresis thresholds own the healthy <-> degraded
   // transitions (the legacy one-error degrade and success-clears edges are
   // skipped; down/recovering semantics are unchanged) and Route() switches
   // to score-weighted selection. Off by default: zero behavior change.
   HealthScoreOptions score;
-  // Service time of one probe on a fully-healthy server. Charged by the
-  // cluster transport ONLY when scoring is enabled, divided by the
-  // server's current capacity — this is what makes a fractional-capacity
-  // fault visible in the probe RTT the score is learned from.
-  sim::Duration probe_service = sim::Duration::Millis(1);
   // Brownout admission control: when the mean routable-server score drops
   // below `enter_below`, the router sheds the lowest remaining priority
-  // class (one level per move, hysteresis + dwell between moves) and
-  // restores classes in reverse order once capacity is back above
-  // `exit_above`. The top class is never shed. Requires scoring.
+  // class (one level per move, hysteresis + kBrownoutMinDwell between
+  // moves) and restores classes in reverse order once capacity is back
+  // above `exit_above`. The top class is never shed. Requires scoring.
   struct BrownoutOptions {
     bool enabled = false;
     double enter_below = 0.60;
     double exit_above = 0.80;
-    // Minimum virtual time between shed-level moves (anti-flap dwell).
-    sim::Duration min_dwell = sim::Duration::Millis(50);
   };
   BrownoutOptions brownout;
 };

@@ -106,7 +106,7 @@ graph::JobContext& Experiment::NewContext(const ClientSpec& spec,
   ctx.priority = spec.priority;
   ctx.min_share = spec.min_share;
   ctx.gpu_index = static_cast<int>(gpu);
-  for (int s = 0; s < options_.streams_per_job; ++s) {
+  for (int s = 0; s < kStreamsPerJob; ++s) {
     ctx.streams.push_back(gpus_.at(gpu)->CreateStream());
   }
   // Per-client activation memory for in-flight batches (§4.3).
@@ -434,10 +434,8 @@ sim::Task Experiment::ServeTenantRequest(std::size_t tenant, sim::Rng& rng,
       co_return;
     }
     ++counters_.retries;
-    sim::Duration backoff = deg.retry.BackoffFor(attempt);
-    if (deg.retry.jitter > 0.0) {
-      backoff = rng.Jitter(backoff, deg.retry.jitter);
-    }
+    const sim::Duration backoff =
+        rng.Jitter(deg.retry.BackoffFor(attempt), RetryPolicy::kJitter);
     if (has_deadline && env_.Now() + backoff >= deadline) {
       // The backoff alone would blow the deadline; give up now.
       status = RequestStatus::kTimedOut;
@@ -504,7 +502,7 @@ sim::Duration Experiment::ParamsReloadCost(std::size_t gpu) const {
   for (const auto& [dev, model] : params_resident_) {
     if (dev == gpu) mb += static_cast<double>(models::GetModel(model).params_mb);
   }
-  return options_.failover.recovery.TransferCost(mb);
+  return TransferCost(mb);
 }
 
 sim::Task Experiment::EnsureReplica(std::size_t tenant, std::size_t gpu,
@@ -516,11 +514,9 @@ sim::Task Experiment::EnsureReplica(std::size_t tenant, std::size_t gpu,
     if (placer_->BeginLoad(gpu, spec.model)) {
       // First arrival instantiates the replica: parameters stream over
       // PCIe and the fresh replica warms up before taking traffic.
-      const fault::RecoveryOptions& rec = options_.failover.recovery;
-      const sim::Duration cost =
-          rec.warmup + rec.TransferCost(static_cast<double>(
-                           models::GetModel(spec.model).params_mb));
-      if (cost > sim::Duration::Zero()) co_await env_.Delay(cost);
+      const double mb =
+          static_cast<double>(models::GetModel(spec.model).params_mb);
+      co_await env_.Delay(kWarmup + TransferCost(mb));
       try {
         LoadModel(spec.model, gpu);
       } catch (const gpusim::TransientAllocFailure&) {
@@ -661,8 +657,8 @@ void Experiment::StartServing() {
     // must be attached when the first device signal fires.
     HealthObserver* observer = this;  // private base: convert in-class
     health_ = std::make_unique<HealthMonitor>(
-        env_, gpu_ptrs, options_.failover.health, options_.failover.recovery,
-        observer, &counters_, options_.executor.tracer);
+        env_, gpu_ptrs, options_.failover.health, observer, &counters_,
+        options_.executor.tracer);
     placer_ = std::make_unique<Placer>(env_, *health_, gpus_.size());
     inflight_.resize(gpus_.size());
     health_->Start();

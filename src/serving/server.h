@@ -39,14 +39,13 @@ struct ServerStalled : std::runtime_error {
 
 // Health-aware placement, failover, and recovery orchestration. Disabled by
 // default: the legacy static round-robin pin (and its exact event sequence)
-// is preserved bit-for-bit unless `enabled` is set. Both hedging knobs need
-// `enabled`; the Experiment constructor rejects them without it.
+// is preserved bit-for-bit unless `enabled` is set. The recovery pipeline's
+// delays and the price of lazy replica instantiation are the constants in
+// serving/health.h. Both hedging knobs need `enabled`; the Experiment
+// constructor rejects them without it.
 struct FailoverOptions {
   bool enabled = false;
   HealthMonitorOptions health;
-  // Recovery pipeline after an outage (driver re-init, parameter reload
-  // over PCIe, warm-up) — also prices lazy replica instantiation.
-  fault::RecoveryOptions recovery;
   // Launch a duplicate attempt on another replica when the routed device is
   // merely degraded (tail tolerance during hangs / alloc-fault windows).
   bool hedge_when_degraded = false;
@@ -80,6 +79,9 @@ struct ObservabilityOptions {
   metrics::PhaseCollector* phases = nullptr;
 };
 
+// GPU streams per job; bounds a job's intra-request kernel concurrency.
+inline constexpr int kStreamsPerJob = 2;
+
 // Configuration of one model-server instance.
 struct ServerOptions {
   gpusim::Gpu::Options gpu;  // device spec + driver arbitration
@@ -93,8 +95,6 @@ struct ServerOptions {
   // pool — not GPU memory — caps how many concurrent clients some models
   // can sustain (paper §4.3).
   std::size_t pool_threads = 300;
-  // GPU streams per job; bounds a job's intra-request kernel concurrency.
-  int streams_per_job = 2;
   graph::ExecutorOptions executor;
   // Deterministic fault schedule applied during Run (empty = no faults).
   fault::FaultPlan faults;

@@ -285,6 +285,16 @@ TEST(ClusterTest, FaultFreeClusterServesEveryRequest) {
   EXPECT_EQ(cluster.counters().tenant_instantiations, 0u);
 }
 
+// Cluster clients arrive by their `arrivals` generator alone: a positive
+// request.mean_interarrival (the single-server open-loop knob) is rejected
+// instead of silently ignored.
+TEST(ClusterTest, RunRejectsRequestMeanInterarrival) {
+  serving::ClusterClientSpec spec = PoissonClient("googlenet", 200.0, 4);
+  spec.request.mean_interarrival = Duration::Millis(20);
+  serving::Cluster cluster(SmallCluster(2));
+  EXPECT_THROW(cluster.Run({spec}), std::invalid_argument);
+}
+
 TEST(ClusterTest, CrashFailoverServesThroughOutage) {
   serving::ClusterOptions opts = SmallCluster(3);
   opts.faults.Crash(At(30), Duration::Millis(80), /*server=*/0);
@@ -349,6 +359,9 @@ void ExpectRouterCountersMatchStatuses(
   EXPECT_EQ(c.requests_rejected_no_server + c.requests_shed_brownout,
             static_cast<std::uint64_t>(
                 CountAll(results, RequestStatus::kRejected)));
+  std::size_t statuses = 0;
+  for (const auto& r : results) statuses += r.request_status.size();
+  EXPECT_EQ(c.requests_total(), statuses);
 }
 
 TEST(ClusterTest, RouterCountersMatchPerRequestStatuses) {

@@ -165,8 +165,8 @@ TEST(FailoverTest, ProbeDuringDeviceRecoveringDoesNotReadmitEarly) {
   gpusim::Gpu gpu(env, gpusim::Gpu::Options{});
   serving::HealthMonitorOptions hopts;
   hopts.probe_interval = Duration::Millis(1);
-  const fault::RecoveryOptions rec;  // 20ms re-init, 2 warm-up probes, 5ms
-  serving::HealthMonitor mon(env, {&gpu}, hopts, rec, /*observer=*/nullptr);
+  // 20ms re-init, 2 warm-up probes (the default), 5ms warm-up.
+  serving::HealthMonitor mon(env, {&gpu}, hopts, /*observer=*/nullptr);
   mon.Start();
 
   env.RunUntil(At(2.5));
@@ -219,9 +219,8 @@ TEST(FailoverTest, DeviceRelapseDuringRecoveryKeepsOneIncident) {
   serving::HealthMonitorOptions hopts;
   hopts.probe_interval = Duration::Millis(10);
   hopts.probe_work = Duration::Millis(1);  // ~1ms per warm-up probe
-  fault::RecoveryOptions rec;  // 20ms re-init, 5ms warm-up
-  rec.warmup_probes = 3;
-  serving::HealthMonitor mon(env, {&gpu}, hopts, rec, /*observer=*/nullptr);
+  hopts.warmup_probes = 3;  // 20ms re-init, 3 warm-up probes, 5ms warm-up
+  serving::HealthMonitor mon(env, {&gpu}, hopts, /*observer=*/nullptr);
   mon.Start();
 
   env.RunUntil(At(2.5));

@@ -134,9 +134,9 @@ TEST(HealthScoreTest, FailuresDriveErrorTermWithoutRtt) {
   o.enabled = true;
   serving::HealthScore score(o);
   for (int i = 0; i < 20; ++i) score.OnProbe(false, Duration::Zero());
-  // err term ~0: score collapses to roughly rtt_weight (RTT treated nominal
+  // err term ~0: score collapses to roughly kRttWeight (RTT treated nominal
   // while unlearned).
-  EXPECT_LT(score.score(), o.rtt_weight + 0.01);
+  EXPECT_LT(score.score(), serving::HealthScore::kRttWeight + 0.01);
 }
 
 TEST(HealthScoreTest, ValidateRejectsBadKnobs) {
@@ -371,13 +371,19 @@ TEST(GrayFailureTest, BrownoutShedsLowestClassFirstAndRestores) {
   // the priority-0 clients; the top class was never shed.
   int low_rejected = 0;
   int high_rejected = 0;
+  std::size_t statuses = 0;
   for (std::size_t i = 0; i < results.size(); ++i) {
     const int rejected =
         results[i].CountStatus(serving::RequestStatus::kRejected);
     (i < 2 ? low_rejected : high_rejected) += rejected;
+    statuses += results[i].request_status.size();
   }
   EXPECT_GT(low_rejected, 0);
   EXPECT_EQ(high_rejected, 0);
+  // Brownout sheds are terminal outcomes too: the router's total counts
+  // every request the clients saw end.
+  EXPECT_EQ(statuses, 80u);
+  EXPECT_EQ(cluster.counters().requests_total(), statuses);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
-// Unit tests for metrics/ (statistics, busy metering, tables).
+// Unit tests for metrics/ (statistics, busy metering, tables, registry
+// merges).
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "metrics/busy_meter.h"
+#include "metrics/registry.h"
 #include "metrics/stats.h"
 #include "metrics/table.h"
 
@@ -166,6 +170,69 @@ TEST(TableTest, RowWidthMismatchThrows) {
 TEST(TableTest, Formatters) {
   EXPECT_EQ(Table::Num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::Pct(0.0213, 1), "2.1%");
+}
+
+// MetricRegistry::MergeFrom on labelled histograms: one source key lands
+// on a destination key that does not exist yet, the other on one that
+// already holds an observation. Either way the export must equal that of a
+// registry that observed every value directly. (The values are binary
+// fractions, so every sum is exact in any order.)
+TEST(MetricRegistryTest, HistogramMergeMatchesDirectObservation) {
+  const Labels server{{"server", "1"}};
+  const Labels a{{"model", "a"}};
+  const Labels b{{"model", "b"}};
+  const Labels a_on_server{{"model", "a"}, {"server", "1"}};
+  const Labels b_on_server{{"model", "b"}, {"server", "1"}};
+
+  MetricRegistry merged;
+  MetricRegistry direct;
+  merged.GetHistogram("lat_ms", b_on_server).Observe(0.5);
+  direct.GetHistogram("lat_ms", b_on_server).Observe(0.5);
+
+  MetricRegistry src;
+  for (const double v : {0.0009765625, 2.0, 37.5, 1e7}) {
+    src.GetHistogram("lat_ms", a).Observe(v);
+    direct.GetHistogram("lat_ms", a_on_server).Observe(v);
+  }
+  for (const double v : {0.25, 0.25, 80.0}) {
+    src.GetHistogram("lat_ms", b).Observe(v);
+    direct.GetHistogram("lat_ms", b_on_server).Observe(v);
+  }
+  merged.MergeFrom(src, server);
+
+  std::ostringstream merged_text;
+  std::ostringstream direct_text;
+  merged.WritePrometheus(merged_text);
+  direct.WritePrometheus(direct_text);
+  EXPECT_EQ(merged_text.str(), direct_text.str());
+  ASSERT_NE(merged.FindHistogram("lat_ms", a_on_server), nullptr);
+  EXPECT_EQ(merged.FindHistogram("lat_ms", a_on_server)->count(), 4u);
+  EXPECT_EQ(merged.FindHistogram("lat_ms", b_on_server)->count(), 4u);
+
+  // The bucket rows pin the shared layout: 44 finite upper bounds starting
+  // at 0.001, each 1.6x the last, then +Inf. The export prints bounds at
+  // round-trip precision, so they compare exactly.
+  std::vector<double> bounds;
+  int inf_rows = 0;
+  std::istringstream lines(merged_text.str());
+  const std::string row = "lat_ms_bucket{model=\"a\",server=\"1\",le=\"";
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(row, 0) != 0) continue;
+    const std::string le =
+        line.substr(row.size(), line.find('"', row.size()) - row.size());
+    if (le == "+Inf") {
+      ++inf_rows;
+    } else {
+      bounds.push_back(std::stod(le));
+    }
+  }
+  EXPECT_EQ(inf_rows, 1);
+  ASSERT_EQ(bounds.size(), 44u);
+  double expected = 0.001;
+  for (const double bound : bounds) {
+    EXPECT_EQ(bound, expected);
+    expected *= 1.6;
+  }
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ namespace olympian {
 namespace {
 
 using metrics::MetricRegistry;
-using metrics::RequestOutcome;
+using metrics::RequestStatus;
 using metrics::ServingCounters;
 using metrics::SloAccumulator;
 using metrics::SloReport;
@@ -210,13 +210,13 @@ TEST(ServingCountersTest, RegistryBridgeIsIdempotent) {
 TEST(SloTest, ReportFoldsOutcomesAndLatencies) {
   SloAccumulator acc;
   for (int i = 0; i < 96; ++i) {
-    acc.Add("resnet", 10.0 + static_cast<double>(i % 5), RequestOutcome::kSuccess);
+    acc.Add("resnet", 10.0 + static_cast<double>(i % 5), RequestStatus::kOk);
   }
-  acc.Add("resnet", 50.0, RequestOutcome::kRetriedSuccess);
-  acc.Add("resnet", 0.0, RequestOutcome::kTimedOut);
-  acc.Add("resnet", 0.0, RequestOutcome::kRejected);
-  acc.Add("resnet", 0.0, RequestOutcome::kFailed);
-  acc.Add("googlenet", 5.0, RequestOutcome::kSuccess);
+  acc.Add("resnet", 50.0, RequestStatus::kFailedRetried);
+  acc.Add("resnet", 0.0, RequestStatus::kTimedOut);
+  acc.Add("resnet", 0.0, RequestStatus::kRejected);
+  acc.Add("resnet", 0.0, RequestStatus::kFailed);
+  acc.Add("googlenet", 5.0, RequestStatus::kOk);
 
   const SloReport r = acc.Report(/*window_seconds=*/10.0);
   EXPECT_EQ(r.total, 101u);
@@ -246,12 +246,12 @@ TEST(SloTest, ReportFoldsOutcomesAndLatencies) {
 
 TEST(SloTest, MergePoolsObservations) {
   SloAccumulator a, b, direct;
-  a.Add("m", 10.0, RequestOutcome::kSuccess);
-  b.Add("m", 30.0, RequestOutcome::kSuccess);
-  b.Add("n", 0.0, RequestOutcome::kFailed);
-  direct.Add("m", 10.0, RequestOutcome::kSuccess);
-  direct.Add("m", 30.0, RequestOutcome::kSuccess);
-  direct.Add("n", 0.0, RequestOutcome::kFailed);
+  a.Add("m", 10.0, RequestStatus::kOk);
+  b.Add("m", 30.0, RequestStatus::kOk);
+  b.Add("n", 0.0, RequestStatus::kFailed);
+  direct.Add("m", 10.0, RequestStatus::kOk);
+  direct.Add("m", 30.0, RequestStatus::kOk);
+  direct.Add("n", 0.0, RequestStatus::kFailed);
 
   a.Merge(b);
   const SloReport merged = a.Report(5.0);
