@@ -135,8 +135,7 @@ void RunMillionClientCase(bench::SweepCase& out) {
   out.RecordEngine(cluster.engine());
   int ok = 0;
   for (const auto st : results.at(0).request_status) {
-    ok += st == serving::RequestStatus::kOk ||
-          st == serving::RequestStatus::kFailedRetried;
+    ok += serving::Succeeded(st);
   }
   out.Set("modeled_clients", static_cast<double>(s.modeled_clients));
   out.Set("requests", static_cast<double>(results.at(0).request_status.size()));

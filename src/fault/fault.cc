@@ -318,7 +318,7 @@ ServerFaultPlan ServerFaultPlan::Random(const RandomOptions& options,
 
 FaultInjector::FaultInjector(sim::Environment& env,
                              std::vector<gpusim::Gpu*> gpus, FaultPlan plan,
-                             metrics::ServingCounters* counters,
+                             metrics::ServingCounters& counters,
                              metrics::Tracer* tracer)
     : env_(env),
       gpus_(std::move(gpus)),
@@ -354,23 +354,23 @@ void FaultInjector::Apply(const FaultEvent& e) {
   switch (e.kind) {
     case FaultKind::kKernelFailure:
       gpu.InjectKernelFailure(e.stream);
-      if (counters_ != nullptr) ++counters_->kernel_failures_injected;
+      ++counters_.kernel_failures_injected;
       break;
     case FaultKind::kDeviceHang:
       gpu.Hang(e.duration);
-      if (counters_ != nullptr) ++counters_->device_hangs;
+      ++counters_.device_hangs;
       break;
     case FaultKind::kDeviceReset:
       gpu.Reset(e.duration);
-      if (counters_ != nullptr) ++counters_->device_resets;
+      ++counters_.device_resets;
       break;
     case FaultKind::kAllocFault:
       gpu.InjectAllocFault(e.duration);
-      if (counters_ != nullptr) ++counters_->alloc_fault_windows;
+      ++counters_.alloc_fault_windows;
       break;
     case FaultKind::kCapacityFault:
       gpu.ThrottleCapacity(e.capacity, e.duration);
-      if (counters_ != nullptr) ++counters_->capacity_fault_windows;
+      ++counters_.capacity_fault_windows;
       break;
   }
   ++events_applied_;

@@ -78,16 +78,9 @@ void Gpu::Enqueue(StreamId stream, const KernelDesc& desc,
   if (down_) {
     // The driver is gone for the rest of the outage: the launch returns an
     // error immediately instead of queueing (a cudaErrorDeviceUnavailable).
-    // Without a failed_out flag there is no channel to report through, so
-    // the rejection surfaces as a synchronous throw (see the contract on
-    // the declaration) — never as a silent success.
     ++kernels_failed_;
-    if (failed_out == nullptr) {
-      throw KernelFailed("launch rejected: device " + options_.spec.name +
-                         " is down (reset outage)");
-    }
     *failed_out = true;
-    if (waiter) env_.ScheduleNow(waiter);
+    env_.ScheduleNow(waiter);
     return;
   }
   Kernel* k = AllocKernel();
@@ -404,7 +397,7 @@ void Gpu::RetireKernel(Stream& s) {
   }
   if (k->failed) {
     ++kernels_failed_;
-    if (k->failed_out != nullptr) *k->failed_out = true;
+    *k->failed_out = true;
   } else {
     ++kernels_completed_;
   }
@@ -412,7 +405,7 @@ void Gpu::RetireKernel(Stream& s) {
   s.active = nullptr;
   FreeKernel(k);
   if (!s.queue.empty()) MarkReady(s.id);
-  if (waiter) env_.ScheduleNow(waiter);
+  env_.ScheduleNow(waiter);
 }
 
 void Gpu::InjectKernelFailure(StreamId stream) {
@@ -449,8 +442,8 @@ void Gpu::FailQueued(Stream& s) {
   while (!s.queue.empty()) {
     Kernel* k = s.queue.pop();
     ++kernels_failed_;
-    if (k->failed_out != nullptr) *k->failed_out = true;
-    if (k->waiter) env_.ScheduleNow(k->waiter);
+    *k->failed_out = true;
+    env_.ScheduleNow(k->waiter);
     FreeKernel(k);
   }
 }

@@ -22,10 +22,9 @@ struct OutOfDeviceMemory : std::runtime_error {
 };
 
 // Thrown at the Submit await site when a kernel retires with an error — an
-// injected launch failure or a device reset that killed it. Recoverable:
-// the serving layer converts it into a per-request failure and may retry.
-// Also thrown synchronously from Enqueue when a launch fails fast on a
-// down device and the caller gave no `failed_out` to report through.
+// injected launch failure, a device reset that killed it, or a launch that
+// failed fast on a down device. Recoverable: the serving layer converts it
+// into a per-request failure and may retry.
 struct KernelFailed : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
@@ -146,20 +145,6 @@ class Gpu {
     return Awaiter{this, stream, desc};
   }
 
-  // Manual-driver submission entry (Submit is sugar over this). The kernel
-  // is queued on `stream`; `waiter` (may be null for fire-and-forget) is
-  // resumed via the event queue when the kernel retires.
-  //
-  // Failure-reporting contract: a kernel that retires with an error sets
-  // `*failed_out` before the waiter resumes. With `failed_out == nullptr`
-  // retirement errors are NOT reported back (they only show in
-  // kernels_failed()); the one exception is a launch on a *down* device,
-  // which cannot be queued at all — that fails fast by throwing
-  // KernelFailed at the call site, so a manual driver without a flag can
-  // never mistake a rejected launch for a queued one.
-  void Enqueue(StreamId stream, const KernelDesc& desc,
-               std::coroutine_handle<> waiter, bool* failed_out);
-
   // --- fault injection --------------------------------------------------
   //
   // Driven by fault::FaultInjector on the virtual clock; all effects are
@@ -219,21 +204,6 @@ class Gpu {
   // Install the health listener (at most one; nullptr detaches). Must
   // outlive the device or be detached first.
   void SetHealthListener(GpuHealthListener* listener) { listener_ = listener; }
-
-  // Point-in-time device health, for pollers (the listener callbacks are
-  // the push-style equivalent).
-  struct HealthSnapshot {
-    bool hung = false;
-    bool down = false;  // inside a reset outage window
-    bool alloc_fault = false;
-    std::uint64_t resets = 0;
-    std::uint64_t kernels_failed = 0;
-    double capacity = 1.0;  // < 1 inside a fractional-capacity window
-  };
-  HealthSnapshot Health() const {
-    return HealthSnapshot{hung_, down_, alloc_fault_active(), resets_,
-                          kernels_failed_, CapacityAt(env_.Now())};
-  }
 
   bool hung() const { return hung_; }
   bool down() const { return down_; }
@@ -374,6 +344,13 @@ class Gpu {
     std::uint32_t gen = 0;
   };
 
+  // Submit's awaiter calls this. The kernel is queued on `stream`, and
+  // `waiter` is resumed via the event queue when it retires. A kernel that
+  // retires with an error sets `*failed_out` before the waiter resumes; a
+  // launch on a down device cannot be queued, so it sets the flag and
+  // schedules the waiter at once.
+  void Enqueue(StreamId stream, const KernelDesc& desc,
+               std::coroutine_handle<> waiter, bool* failed_out);
   void Dispatch();
   bool StreamReady(const Stream& s) const;
   void MarkReady(StreamId id);

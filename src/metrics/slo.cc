@@ -41,9 +41,7 @@ void SloAccumulator::Add(std::string_view model, double latency_ms,
                          RequestStatus status) {
   PerModel& slot = ModelSlot(model);
   ++slot.counts[static_cast<std::size_t>(status)];
-  if (status == RequestStatus::kOk || status == RequestStatus::kFailedRetried) {
-    slot.success_latency_ms.Add(latency_ms);
-  }
+  if (Succeeded(status)) slot.success_latency_ms.Add(latency_ms);
 }
 
 void SloAccumulator::Merge(const SloAccumulator& other) {

@@ -22,6 +22,12 @@ enum class RequestStatus : std::uint8_t {
 
 const char* ToString(RequestStatus status);
 
+// Served, possibly after retries: the outcomes that count as completed.
+constexpr bool Succeeded(RequestStatus status) {
+  return status == RequestStatus::kOk ||
+         status == RequestStatus::kFailedRetried;
+}
+
 // Availability objective used for error-budget burn; 0.999 = "three
 // nines", i.e. a 0.1% error budget.
 inline constexpr double kAvailabilityTarget = 0.999;

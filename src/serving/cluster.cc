@@ -16,11 +16,6 @@ int ClusterClientResult::CountStatus(RequestStatus s) const {
 
 namespace {
 
-// Served, possibly after retries: the outcomes that count as completed.
-bool Succeeded(RequestStatus s) {
-  return s == RequestStatus::kOk || s == RequestStatus::kFailedRetried;
-}
-
 // Validates a sharded configuration and returns the effective shard count
 // (clamped to the server count; 0 means 1). Throws std::invalid_argument
 // for the two remaining unpartitionable options; every other cluster
@@ -102,7 +97,7 @@ Cluster::Cluster(ClusterOptions options)
   }
   RouterTransport& transport = *this;  // private base: convert in-class
   router_ = std::make_unique<Router>(env_, transport, servers_.size(),
-                                     options_.router, &counters_,
+                                     options_.router, counters_,
                                      options_.registry);
   router_->set_incident_log(options_.incidents);
   // Handing the cluster an incident log is the opt-in; feeding calls are

@@ -11,6 +11,7 @@ namespace olympian::serving {
 // Terminal outcome of one inference request; defined beside the SLO
 // accumulator that folds it.
 using metrics::RequestStatus;
+using metrics::Succeeded;
 using metrics::ToString;
 
 // Exponential backoff with deterministic multiplicative jitter (drawn from

@@ -23,12 +23,12 @@ std::uint64_t UnpackGeneration(std::uint64_t arg) { return arg & 0xffffffffu; }
 HealthMonitor::HealthMonitor(sim::Environment& env,
                              std::vector<gpusim::Gpu*> gpus,
                              HealthMonitorOptions options,
-                             HealthObserver* observer,
-                             metrics::ServingCounters* counters,
+                             HealthObserver& observer,
+                             metrics::ServingCounters& counters,
                              metrics::Tracer* tracer)
     : env_(env),
       options_(options),
-      observer_(observer != nullptr ? observer : this),
+      observer_(observer),
       counters_(counters),
       tracer_(tracer),
       tracker_(gpus.size(), options_.score) {
@@ -73,7 +73,7 @@ HealthMonitor::DeviceStats HealthMonitor::stats(std::size_t gpu) const {
 void HealthMonitor::Transition(std::size_t gpu, Health to) {
   const sim::TimePoint now = env_.Now();
   if (!tracker_.Transition(gpu, to, now)) return;
-  if (counters_ != nullptr) ++counters_->health_transitions;
+  ++counters_.health_transitions;
   if (tracer_ != nullptr && !tracer_->full()) {
     tracer_->AddInstant(
         "health",
@@ -94,18 +94,18 @@ void HealthMonitor::GoDown(std::size_t gpu, bool from_hang) {
   }
   ++d.hang_epoch;
   d.down_from_hang = from_hang;
-  if (counters_ != nullptr) ++counters_->device_down_events;
+  ++counters_.device_down_events;
   Transition(gpu, Health::kDown);
   // After the bookkeeping, so the observer sees a consistent kDown state
   // while it cancels the device's in-flight runs.
-  observer_->OnDeviceDown(gpu);
+  observer_.OnDeviceDown(gpu);
 }
 
 void HealthMonitor::Readmit(std::size_t gpu) {
   const sim::TimePoint now = env_.Now();
   tracker_.EndOutage(gpu, now);
   ++devices_[gpu]->generation;  // invalidate leftover escalation timers
-  if (counters_ != nullptr) ++counters_->device_readmissions;
+  ++counters_.device_readmissions;
   if (tracer_ != nullptr && !tracer_->full()) {
     tracer_->AddSpan("health",
                      tracer_->Intern("gpu" + std::to_string(gpu) + " outage"),
@@ -113,7 +113,7 @@ void HealthMonitor::Readmit(std::size_t gpu) {
                      now);
   }
   Transition(gpu, Health::kHealthy);
-  observer_->OnDeviceReadmitted(gpu);
+  observer_.OnDeviceReadmitted(gpu);
 }
 
 sim::Task HealthMonitor::RecoveryProc(std::size_t gpu,
@@ -123,7 +123,7 @@ sim::Task HealthMonitor::RecoveryProc(std::size_t gpu,
   if (full_reinit) {
     co_await env_.Delay(kDriverReinit);
     if (d.generation != generation) co_return;  // failed again meanwhile
-    const sim::Duration reload = observer_->ParamsReloadCost(gpu);
+    const sim::Duration reload = observer_.ParamsReloadCost(gpu);
     if (reload > sim::Duration::Zero()) {
       co_await env_.Delay(reload);
       if (d.generation != generation) co_return;
@@ -143,7 +143,7 @@ sim::Task HealthMonitor::RecoveryProc(std::size_t gpu,
       ok = false;
     }
     if (d.generation != generation) co_return;
-    if (!ok && counters_ != nullptr) ++counters_->probe_failures;
+    if (!ok) ++counters_.probe_failures;
   }
   co_await env_.Delay(kWarmup);
   if (d.generation != generation) co_return;
@@ -171,7 +171,7 @@ sim::Task HealthMonitor::ProbeLoop(std::size_t gpu) {
       ok = false;
     }
     if (stopped_) co_return;
-    if (!ok && counters_ != nullptr) ++counters_->probe_failures;
+    if (!ok) ++counters_.probe_failures;
     if (!scoring()) continue;
     // The heartbeat kernel runs through the same capacity-scaled device
     // clock as real work, so a fractional-capacity fault shows up here as

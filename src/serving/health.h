@@ -76,7 +76,7 @@ struct HealthMonitorOptions {
 // re-init delay -> parameter reload -> warm-up probes) gates readmission.
 // All state changes land in a transition log, the serving counters, and the
 // tracer's health track, so failover behaviour is observable and testable.
-class HealthMonitor : public HealthObserver {
+class HealthMonitor {
  public:
   struct DeviceStats {
     std::uint64_t down_events = 0;
@@ -88,10 +88,10 @@ class HealthMonitor : public HealthObserver {
   };
 
   HealthMonitor(sim::Environment& env, std::vector<gpusim::Gpu*> gpus,
-                HealthMonitorOptions options, HealthObserver* observer,
-                metrics::ServingCounters* counters = nullptr,
+                HealthMonitorOptions options, HealthObserver& observer,
+                metrics::ServingCounters& counters,
                 metrics::Tracer* tracer = nullptr);
-  ~HealthMonitor() override;
+  ~HealthMonitor();
 
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
@@ -121,15 +121,6 @@ class HealthMonitor : public HealthObserver {
   bool scoring() const { return tracker_.scoring(); }
   // Continuous health score of `gpu` (1.0 when scoring is disabled).
   double score(std::size_t gpu) const { return tracker_.score(gpu); }
-
-  // HealthObserver default self-wiring (used when no external observer is
-  // installed; the serving layer normally passes itself instead).
-  void OnDeviceDown(std::size_t gpu) override { (void)gpu; }
-  void OnDeviceReadmitted(std::size_t gpu) override { (void)gpu; }
-  sim::Duration ParamsReloadCost(std::size_t gpu) const override {
-    (void)gpu;
-    return sim::Duration::Zero();
-  }
 
  private:
   // Fans one device's GpuHealthListener callbacks into the monitor.
@@ -186,8 +177,8 @@ class HealthMonitor : public HealthObserver {
 
   sim::Environment& env_;
   HealthMonitorOptions options_;
-  HealthObserver* observer_;  // never null (defaults to this)
-  metrics::ServingCounters* counters_;
+  HealthObserver& observer_;
+  metrics::ServingCounters& counters_;
   metrics::Tracer* tracer_;
   std::vector<std::unique_ptr<Device>> devices_;
   HealthTracker tracker_;

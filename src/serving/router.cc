@@ -9,7 +9,7 @@ namespace olympian::serving {
 
 Router::Router(sim::Environment& env, RouterTransport& transport,
                std::size_t num_servers, RouterOptions options,
-               metrics::RouterCounters* counters,
+               metrics::RouterCounters& counters,
                metrics::MetricRegistry* registry)
     : env_(env),
       transport_(transport),
@@ -62,7 +62,7 @@ std::size_t Router::Route(std::size_t home) {
 
 void Router::OnRequestStart(std::size_t server) {
   ++outstanding_.at(server);
-  if (counters_ != nullptr) ++counters_->requests_routed;
+  ++counters_.requests_routed;
 }
 
 void Router::OnRequestEnd(std::size_t server) {
@@ -98,13 +98,13 @@ sim::Task Router::ProbeLoop(std::size_t server) {
   for (;;) {
     co_await env_.Delay(options_.probe_interval);
     if (stopped_) co_return;
-    if (counters_ != nullptr) ++counters_->probes_sent;
+    ++counters_.probes_sent;
     bool ok = false;
     const sim::TimePoint sent = env_.Now();
     co_await transport_.Probe(server, ok);
     if (stopped_) co_return;
     const sim::Duration rtt = env_.Now() - sent;
-    if (!ok && counters_ != nullptr) ++counters_->probe_failures;
+    if (!ok) ++counters_.probe_failures;
     if (registry_ != nullptr && ok) {
       // The gray-degradation signal as the router saw it, per server.
       registry_
@@ -117,10 +117,10 @@ sim::Task Router::ProbeLoop(std::size_t server) {
     if (!scoring()) continue;
     const HealthTracker::ScoreEdge edge = tracker_.UpdateScoreLatch(server);
     if (edge == HealthTracker::ScoreEdge::kDegrade) {
-      if (counters_ != nullptr) ++counters_->score_degrade_events;
+      ++counters_.score_degrade_events;
       Transition(server, Health::kDegraded);
     } else if (edge == HealthTracker::ScoreEdge::kRecover) {
-      if (counters_ != nullptr) ++counters_->score_recover_events;
+      ++counters_.score_recover_events;
       Transition(server, Health::kHealthy);
     }
     UpdateBrownout();
@@ -149,7 +149,7 @@ void Router::OnResult(std::size_t server, bool ok) {
         // answer `recovery_successes` consecutive probes before traffic.
         if (++st.successes >= options_.recovery_successes) {
           tracker_.EndOutage(server, env_.Now());
-          if (counters_ != nullptr) ++counters_->server_readmissions;
+          ++counters_.server_readmissions;
           Transition(server, Health::kHealthy);
         }
         break;
@@ -170,7 +170,7 @@ void Router::OnResult(std::size_t server, bool ok) {
     case Health::kDegraded:
       if (st.errors >= options_.down_after_errors) {
         tracker_.BeginOutage(server, env_.Now());
-        if (counters_ != nullptr) ++counters_->server_down_events;
+        ++counters_.server_down_events;
         Transition(server, Health::kDown);
       } else if (!scoring() && h == Health::kHealthy) {
         // With scoring on, a single error only feeds the error EWMA; the
@@ -208,7 +208,7 @@ void Router::Transition(std::size_t server, Health to) {
                                     to == Health::kHealthy, env_.Now());
   }
   tracker_.Transition(server, to, env_.Now());
-  if (counters_ != nullptr) ++counters_->server_transitions;
+  ++counters_.server_transitions;
   if (registry_ != nullptr) {
     registry_
         ->GetSeries("olympian_server_health",
@@ -263,16 +263,12 @@ void Router::UpdateBrownout() {
   const int max_level = static_cast<int>(priority_classes_.size()) - 1;
   const int before = brownout_level_;
   if (cap < options_.brownout.enter_below && brownout_level_ < max_level) {
-    if (brownout_level_ == 0 && counters_ != nullptr) {
-      ++counters_->brownout_entries;
-    }
+    if (brownout_level_ == 0) ++counters_.brownout_entries;
     ++brownout_level_;
     last_brownout_move_ = now;
   } else if (cap >= options_.brownout.exit_above && brownout_level_ > 0) {
     --brownout_level_;
-    if (brownout_level_ == 0 && counters_ != nullptr) {
-      ++counters_->brownout_exits;
-    }
+    if (brownout_level_ == 0) ++counters_.brownout_exits;
     last_brownout_move_ = now;
   }
   if (brownout_level_ != before && registry_ != nullptr) {

@@ -90,7 +90,7 @@ class Router {
 
   Router(sim::Environment& env, RouterTransport& transport,
          std::size_t num_servers, RouterOptions options,
-         metrics::RouterCounters* counters,
+         metrics::RouterCounters& counters,
          metrics::MetricRegistry* registry = nullptr);
 
   Router(const Router&) = delete;
@@ -168,7 +168,7 @@ class Router {
   sim::Environment& env_;
   RouterTransport& transport_;
   RouterOptions options_;
-  metrics::RouterCounters* counters_;
+  metrics::RouterCounters& counters_;
   metrics::MetricRegistry* registry_;
   metrics::IncidentLog* incident_log_ = nullptr;
   HealthTracker tracker_;

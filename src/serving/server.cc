@@ -159,8 +159,7 @@ sim::Task Experiment::ClientProc(std::size_t client, std::uint64_t seed,
     co_await ServeTenantRequest(client, rng, arrival, status, account);
     out.request_latency_ms.push_back((env_.Now() - arrival).millis());
     out.request_status.push_back(status);
-    const bool ok = status == RequestStatus::kOk ||
-                    status == RequestStatus::kFailedRetried;
+    const bool ok = Succeeded(status);
     if (phases != nullptr) {
       phases->Record(-1, spec.model, account, ok, env_.Now() - arrival);
     }
@@ -655,9 +654,9 @@ void Experiment::StartServing() {
   if (options_.failover.enabled) {
     // Stand up the failover subsystem before traffic or faults: listeners
     // must be attached when the first device signal fires.
-    HealthObserver* observer = this;  // private base: convert in-class
+    HealthObserver& observer = *this;  // private base: convert in-class
     health_ = std::make_unique<HealthMonitor>(
-        env_, gpu_ptrs, options_.failover.health, observer, &counters_,
+        env_, gpu_ptrs, options_.failover.health, observer, counters_,
         options_.executor.tracer);
     placer_ = std::make_unique<Placer>(env_, *health_, gpus_.size());
     inflight_.resize(gpus_.size());
@@ -668,7 +667,7 @@ void Experiment::StartServing() {
   // seed and plan is bit-for-bit reproducible.
   if (!options_.faults.events().empty()) {
     injector_ = std::make_unique<fault::FaultInjector>(
-        env_, std::move(gpu_ptrs), options_.faults, &counters_,
+        env_, std::move(gpu_ptrs), options_.faults, counters_,
         options_.executor.tracer);
     injector_->Arm();
   }

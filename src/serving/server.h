@@ -252,7 +252,6 @@ class Experiment : private HealthObserver {
   // Server-level health aggregate for the router: does any device accept
   // traffic right now?
   bool AnyUsableDevice() const;
-  std::size_t num_tenants() const { return tenants_.size(); }
 
   // Post-run metrics.
   sim::Duration makespan() const { return makespan_; }

@@ -20,7 +20,11 @@ namespace olympian::serving {
 //   client inception-v4 batch=100 n=10 weight=2 priority=0
 //   client resnet-152  batch=100 n=10 min-share=0.25 interarrival-ms=500
 //
-// Unknown keys are errors (typos should not silently change experiments).
+// Unknown keys, extra tokens and numbers that are malformed or out of range
+// are errors (typos should not silently change experiments). batch, n,
+// weight, gpus, pool-threads and quantum-us are >= 1, interarrival-ms is
+// >= 0 and min-share is in [0, 1); seed and pool-threads take no sign, and
+// durations must fit in int64 nanoseconds.
 struct WorkloadSpec {
   std::uint64_t seed = 1;
   int num_gpus = 1;

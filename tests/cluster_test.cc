@@ -92,7 +92,8 @@ TEST(RouterTest, ConsecutiveProbeFailuresMarkServerDown) {
   serving::RouterOptions ro;
   ro.probe_interval = Duration::Millis(1);
   ro.down_after_errors = 2;
-  serving::Router router(env, transport, 2, ro, nullptr);
+  metrics::RouterCounters counters;
+  serving::Router router(env, transport, 2, ro, counters);
   router.Start();
 
   transport.probe_ok = false;
@@ -115,7 +116,8 @@ TEST(RouterTest, ProbeDuringRecoveringDoesNotReadmitEarly) {
   ro.probe_interval = Duration::Millis(1);
   ro.down_after_errors = 2;
   ro.recovery_successes = 3;
-  serving::Router router(env, transport, 2, ro, nullptr);
+  metrics::RouterCounters counters;
+  serving::Router router(env, transport, 2, ro, counters);
   router.Start();
 
   transport.probe_ok = false;
@@ -139,13 +141,18 @@ TEST(RouterTest, ProbeDuringRecoveringDoesNotReadmitEarly) {
   EXPECT_TRUE(router.Routable(0));
 
   int recovering_to_healthy = 0;
+  std::uint64_t down_edges = 0;
   for (const auto& t : router.transitions()) {
     if (t.target == 0 && t.from == serving::Health::kRecovering &&
         t.to == serving::Health::kHealthy) {
       ++recovering_to_healthy;
     }
+    if (t.to == serving::Health::kDown) ++down_edges;
   }
   EXPECT_EQ(recovering_to_healthy, 1);
+  // The router's counters agree with its transition log.
+  EXPECT_EQ(counters.server_transitions, router.transitions().size());
+  EXPECT_EQ(counters.server_down_events, down_edges);
   // Router-side MTTR covers the whole incident: down-mark to readmission.
   ASSERT_GE(router.mttr_incidents().size(), 1u);
   EXPECT_GT(router.mttr_incidents()[0], Duration::Millis(2));
@@ -160,7 +167,8 @@ TEST(RouterTest, RelapseDuringRecoveryKeepsOneIncident) {
   ro.probe_interval = Duration::Millis(1);
   ro.down_after_errors = 1;
   ro.recovery_successes = 2;
-  serving::Router router(env, transport, 1, ro, nullptr);
+  metrics::RouterCounters counters;
+  serving::Router router(env, transport, 1, ro, counters);
   router.Start();
 
   transport.probe_ok = false;
@@ -187,7 +195,8 @@ TEST(RouterTest, StickyThenLeastLoadedRouting) {
   FakeTransport transport(env);
   serving::RouterOptions ro;
   ro.probe_interval = Duration::Zero();  // no probes; drive by hand
-  serving::Router router(env, transport, 3, ro, nullptr);
+  metrics::RouterCounters counters;
+  serving::Router router(env, transport, 3, ro, counters);
   router.Start();
 
   // Sticky: the home wins while routable, regardless of load.

@@ -17,6 +17,7 @@
 #include "core/profiler.h"
 #include "core/scheduler.h"
 #include "fault/fault.h"
+#include "metrics/counters.h"
 #include "serving/health.h"
 #include "serving/placer.h"
 #include "serving/server.h"
@@ -59,6 +60,25 @@ int BatchesAll(const std::vector<serving::ClientResult>& results) {
   int n = 0;
   for (const auto& r : results) n += r.batches_completed;
   return n;
+}
+
+// A monitor driven without a serving layer: no runs to cancel, no
+// parameters to reload.
+struct NoopObserver final : serving::HealthObserver {
+  void OnDeviceDown(std::size_t) override {}
+  void OnDeviceReadmitted(std::size_t) override {}
+  sim::Duration ParamsReloadCost(std::size_t) const override {
+    return sim::Duration::Zero();
+  }
+};
+
+// The monitor's serving counters agree with its transition log and its
+// per-device stats: every transition, down edge and readmission is counted.
+void ExpectCountersMatchLog(const metrics::ServingCounters& counters,
+                            const serving::HealthMonitor& mon) {
+  EXPECT_EQ(counters.health_transitions, mon.transitions().size());
+  EXPECT_EQ(counters.device_down_events, mon.stats(0).down_events);
+  EXPECT_EQ(counters.device_readmissions, mon.stats(0).readmissions);
 }
 
 // ---------------------------------------------------------------------------
@@ -166,7 +186,9 @@ TEST(FailoverTest, ProbeDuringDeviceRecoveringDoesNotReadmitEarly) {
   serving::HealthMonitorOptions hopts;
   hopts.probe_interval = Duration::Millis(1);
   // 20ms re-init, 2 warm-up probes (the default), 5ms warm-up.
-  serving::HealthMonitor mon(env, {&gpu}, hopts, /*observer=*/nullptr);
+  metrics::ServingCounters counters;
+  NoopObserver observer;
+  serving::HealthMonitor mon(env, {&gpu}, hopts, observer, counters);
   mon.Start();
 
   env.RunUntil(At(2.5));
@@ -204,6 +226,7 @@ TEST(FailoverTest, ProbeDuringDeviceRecoveringDoesNotReadmitEarly) {
   ASSERT_EQ(mon.stats(0).mttr_incidents.size(), 1u);
   // The incident covers outage + re-init + warm-up, not just the outage.
   EXPECT_GT(mon.stats(0).mttr_incidents[0], Duration::Millis(20));
+  ExpectCountersMatchLog(counters, mon);
   mon.Stop();
   env.Run();
 }
@@ -220,7 +243,9 @@ TEST(FailoverTest, DeviceRelapseDuringRecoveryKeepsOneIncident) {
   hopts.probe_interval = Duration::Millis(10);
   hopts.probe_work = Duration::Millis(1);  // ~1ms per warm-up probe
   hopts.warmup_probes = 3;  // 20ms re-init, 3 warm-up probes, 5ms warm-up
-  serving::HealthMonitor mon(env, {&gpu}, hopts, /*observer=*/nullptr);
+  metrics::ServingCounters counters;
+  NoopObserver observer;
+  serving::HealthMonitor mon(env, {&gpu}, hopts, observer, counters);
   mon.Start();
 
   env.RunUntil(At(2.5));
@@ -254,6 +279,7 @@ TEST(FailoverTest, DeviceRelapseDuringRecoveryKeepsOneIncident) {
   // Both outages and both re-inits: far longer than one recovery (~45ms).
   EXPECT_EQ(stats.mttr_incidents[0], readmitted - first_down);
   EXPECT_GT(stats.mttr_incidents[0], Duration::Millis(80));
+  ExpectCountersMatchLog(counters, mon);
   mon.Stop();
   env.Run();
 }

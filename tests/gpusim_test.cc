@@ -461,28 +461,10 @@ TEST(GpuTest, RetireWhileResidentIsDeferredNoOp) {
   EXPECT_EQ(gpu.JobGpuDuration(3), Duration::Micros(10));
 }
 
-TEST(GpuTest, EnqueueOnDownDeviceThrowsWithoutFailureFlag) {
-  // Contract: with `failed_out == nullptr` a launch on a down device cannot
-  // report the error through a flag, so Enqueue throws synchronously
-  // instead of pretending the kernel was queued.
-  Environment env;
-  Gpu gpu(env, SmallGpu(4));
-  auto s = gpu.CreateStream();
-  gpu.Reset(Duration::Millis(5));
-  EXPECT_TRUE(gpu.down());
-  const auto before = gpu.kernels_failed();
-  EXPECT_THROW(gpu.Enqueue(s,
-                           KernelDesc{.job = 0, .thread_blocks = 1,
-                                      .block_work = Duration::Micros(1)},
-                           {}, nullptr),
-               KernelFailed);
-  EXPECT_EQ(gpu.kernels_failed(), before + 1);
-}
-
 TEST(GpuTest, EnqueueOnDownDeviceReportsThroughFailureFlag) {
-  // With a `failed_out` the same launch fails fast through the flag and the
-  // waiter is resumed (asynchronously, preserving no-reentrancy), without
-  // throwing.
+  // A launch on a down device fails fast through Submit's failure flag: the
+  // waiter is resumed (asynchronously, preserving no-reentrancy) and
+  // KernelFailed is thrown at the await site.
   Environment env;
   Gpu gpu(env, SmallGpu(4));
   auto s = gpu.CreateStream();
@@ -501,6 +483,7 @@ TEST(GpuTest, EnqueueOnDownDeviceReportsThroughFailureFlag) {
   env.Spawn(submit());
   env.Run();
   EXPECT_TRUE(threw);
+  EXPECT_EQ(gpu.kernels_failed(), 1u);
   // Failed fast at submit time, not after the outage cleared.
   EXPECT_LT(failed_at, TimePoint() + Duration::Millis(5));
 }

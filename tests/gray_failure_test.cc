@@ -90,7 +90,7 @@ TEST(GpuCapacityTest, WindowsMergeMinCapacityMaxDeadline) {
   gpu.ThrottleCapacity(0.8, Duration::Millis(2));  // overlaps: min wins
   EXPECT_DOUBLE_EQ(gpu.CapacityAt(TimePoint() + Duration::Micros(1500)), 0.5);
   EXPECT_DOUBLE_EQ(gpu.CapacityAt(TimePoint() + Duration::Millis(3)), 1.0);
-  EXPECT_DOUBLE_EQ(gpu.Health().capacity, 0.5);
+  EXPECT_DOUBLE_EQ(gpu.CapacityAt(env.Now()), 0.5);
 }
 
 TEST(GpuCapacityTest, RejectsOutOfRangeCapacity) {

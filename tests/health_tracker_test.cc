@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "metrics/counters.h"
 #include "serving/health_tracker.h"
 #include "serving/router.h"
 #include "sim/environment.h"
@@ -83,7 +84,8 @@ std::size_t PickViaRouter(const PickRow& row) {
   serving::RouterOptions ro;
   ro.failover = row.failover;
   ro.probe_interval = Duration::Zero();
-  serving::Router router(env, transport, row.health.size(), ro, nullptr);
+  metrics::RouterCounters counters;
+  serving::Router router(env, transport, row.health.size(), ro, counters);
   for (std::size_t s = 0; s < row.health.size(); ++s) {
     if (row.health[s] != Health::kDown) continue;
     for (int e = 0; e < ro.down_after_errors; ++e) router.OnRequestError(s);

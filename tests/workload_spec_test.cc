@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "serving/workload_spec.h"
 
 namespace olympian::serving {
@@ -79,6 +83,51 @@ TEST(WorkloadSpecTest, BadNumbersReportLine) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
   }
+}
+
+TEST(WorkloadSpecTest, MalformedOrOutOfRangeNumbersRejectedWithLine) {
+  // Each bad line follows a valid client line, so the error must name
+  // line 2. Only parsed: none of these specs is ever run.
+  const std::vector<std::string> bad = {
+      "client resnet-152 batch=1OO n=1",  // letter O: must not read as 1
+      "client resnet-152 batch=0",
+      "client resnet-152 n=-3",
+      "client resnet-152 weight=-2",
+      "client resnet-152 interarrival-ms=-5",
+      "client resnet-152 min-share=1",
+      "client resnet-152 min-share=-0.1",
+      "client resnet-152 min-share=nan",
+      "client resnet-152 batch=99999999999",  // overflows int
+      "client resnet-152 batch=",
+      "client resnet-152 interarrival-ms=9999999999999",  // ns overflow
+      "pool-threads 0",
+      "pool-threads -1",  // no sign on an unsigned field
+      "gpus 2x",
+      "gpus 0",
+      "gpus 2 4",  // a directive takes no extra tokens
+      "seed -1",
+      "seed",
+      "policy fair extra",
+      "quantum-us 0",
+      "quantum-us 9999999999999999",  // ns overflow
+  };
+  for (const std::string& line : bad) {
+    try {
+      WorkloadSpecParse("client vgg16 n=1\n" + line);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << line << " -> " << e.what();
+    }
+  }
+  // The bounds themselves are accepted.
+  const auto spec = WorkloadSpecParse(
+      "pool-threads 1\nclient vgg16 batch=1 n=1 weight=1 priority=-4 "
+      "min-share=0 interarrival-ms=0");
+  EXPECT_EQ(spec.pool_threads, 1u);
+  EXPECT_EQ(spec.clients[0].batch, 1);
+  EXPECT_EQ(spec.clients[0].priority, -4);
+  EXPECT_EQ(spec.clients[0].mean_interarrival, sim::Duration::Zero());
 }
 
 TEST(WorkloadSpecTest, ToServerOptionsCopiesFields) {
